@@ -6,10 +6,19 @@ the Fisher information number of the exponential-form family
 k(lambda) e^(-lambda u) is the variance of u; ``decompose_samples`` splits
 empirical data into a density estimate, its normalized potential and its
 stochastic intensity, revealing the causal intensity up to sign.
+
+The kernel estimator is a Gaussian kernel density estimate, linear-binned
+onto the grid and FFT-convolved with the sampled kernel (Silverman, Appl.
+Stat. 31, 1982, AS 176; Wand, JCGS 3(4), 1994).  For N samples on M points
+it costs O(N + (M + 2 pad) log(M + 2 pad)), where ``pad`` grid points on
+each side cover min(8 bandwidths, the grid's width plus the farthest
+sample's distance off the grid).  It differs from the direct Gaussian
+sum by O((h / bandwidth)^2) for spacing h.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +32,7 @@ from .potential import (EquilibriumDensity, IntensityTable,
 
 ENTROPY_IDENTITY_TOL = 1e-9
 MIN_SAMPLES = 100
+KERNEL_REACH = 8.0  # bandwidths; a sample farther off adds under e^-32
 
 
 def shannon_entropy(f: EquilibriumDensity) -> float:
@@ -89,13 +99,41 @@ def _histogram_density(samples, grid: Grid, bins: int) -> np.ndarray:
 
 
 def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
-    out = np.zeros(grid.n_points)
-    norm = 1.0 / (samples.size * bandwidth * np.sqrt(2.0 * np.pi))
-    for start in range(0, samples.size, 4096):
-        chunk = samples[start:start + 4096]
-        z = (grid.points[:, None] - chunk[None, :]) / bandwidth
-        out += np.exp(-0.5 * z * z).sum(axis=1)
-    return out * norm
+    """Gaussian kernel density estimate by linear binning and FFT convolution.
+
+    The grid is padded by ``pad`` points on each side, enough to hold every
+    sample within KERNEL_REACH bandwidths of the grid and for the kernel to
+    reach from any of them to any grid point; samples farther out and
+    non-finite ones are dropped but still count in the normalization.  The
+    kernel's mass is the larger of its integral, as in the direct sum, and
+    its sampled sum, which keeps the estimate finite for a bandwidth far
+    below the spacing.
+    """
+    bandwidth = float(bandwidth)  # overflows to inf without a warning
+    h = grid.spacing
+    n = grid.n_points
+    kept = samples[np.isfinite(samples)]
+    outside = np.max(np.maximum(grid.lower - kept, kept - grid.upper),
+                     initial=0.0)
+    pad = int(np.ceil(min(KERNEL_REACH * bandwidth,
+                          grid.upper - grid.lower + outside) / h))
+    size = n + 2 * pad
+    t = (kept - grid.lower) / h + pad
+    t = t[(t >= 0) & (t <= size - 1)]
+    j = np.minimum(t.astype(np.intp), size - 2)
+    w = t - j
+    counts = (np.bincount(j, weights=1.0 - w, minlength=size)
+              + np.bincount(j + 1, weights=w, minlength=size))
+    # for bandwidth << h the off-centre arguments overflow to inf: weight 0
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * h / bandwidth) ** 2)
+    nfft = size + 2 * pad
+    conv = np.fft.irfft(np.fft.rfft(counts, nfft) * np.fft.rfft(kernel, nfft),
+                        nfft)[2 * pad:2 * pad + n]
+    mass = max(bandwidth * math.sqrt(2.0 * math.pi), h * kernel.sum())
+    # round-off leaves ~1e-16 * peak of either sign where there is no mass;
+    # every weight is >= 0, so the clip is exact
+    return np.maximum(conv, 0.0) / (samples.size * mass)
 
 
 def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
@@ -105,7 +143,13 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
 
     The revealed causal intensity is -E_s by the equilibrium identity.
     Out-of-range samples are excluded from histograms but counted and
-    reported; the kernel estimator uses all samples.
+    reported; the kernel estimator uses every sample within 8 bandwidths
+    of the grid.  The kernel estimate is linear-binned and FFT-convolved:
+    O(N + (M + 2 pad) log(M + 2 pad)) for N samples on M points, within
+    O((h / bandwidth)^2) of the direct Gaussian sum.  For a bandwidth far
+    below the spacing h it returns the binned spikes, where a direct sum
+    would underflow to an identically zero estimate.  The bandwidth must
+    be positive and finite.
     """
     if grid.kind != CONTINUOUS:
         raise SampleError("decomposition needs a continuous grid")
@@ -127,6 +171,9 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
     elif estimator == "kernel":
         if bandwidth is None:
             bandwidth = _silverman_bandwidth(samples)
+        if not (np.isfinite(bandwidth) and bandwidth > 0):
+            raise SampleError(
+                f"bandwidth must be positive and finite, got {bandwidth:g}")
         raw = _kernel_density(samples, grid, bandwidth)
         label = f"kernel(bandwidth={bandwidth:g})"
     else:

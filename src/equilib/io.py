@@ -93,6 +93,8 @@ def grid_from_x(x: np.ndarray, kind: str | None = None) -> Grid:
     Consecutive integers are read as a lattice unless a kind is forced.
     """
     x = np.asarray(x, dtype=float)
+    if x.size < 3:
+        raise FormatError(f"a table needs at least 3 rows, got {x.size}")
     if kind is None:
         integral = np.all(x == np.round(x)) and np.all(np.diff(x) == 1.0)
         kind = LATTICE if integral else CONTINUOUS

@@ -69,17 +69,6 @@ def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(seq))
 
 
-def histogram_density(positions: np.ndarray, grid: Grid) -> EquilibriumDensity:
-    """Empirical density on the grid; bins are centered on the grid points."""
-    pts = grid.points
-    edges = np.concatenate(([pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]))
-    counts = np.histogram(positions, bins=edges)[0]
-    values = counts / (positions.size * grid.weights)
-    total = grid.quadrature(values)
-    return EquilibriumDensity(grid=grid, values=values / total,
-                              omega=1.0, k=1.0)
-
-
 def simulate(config: SimConfig) -> SimResult:
     """Run the chains and compare the histogram with the Boltzmann density."""
     grid = config.grid

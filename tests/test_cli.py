@@ -126,6 +126,14 @@ def test_transform_missing_file_exits_2(tmp_path):
                "--out", tmp_path / "f.csv") == 2
 
 
+def test_transform_one_row_table_exits_2(tmp_path, capsys):
+    src = tmp_path / "u.csv"
+    io.write_table(src, {"x": [0.5], "U": [1.0]})
+    assert run("transform", "--in", src, "--to", "density",
+               "--out", tmp_path / "f.csv") == 2
+    assert "at least 3 rows" in capsys.readouterr().err
+
+
 def test_transform_pearson_paper_sign_exits_3(tmp_path):
     spec = write_json(tmp_path / "pearson.json",
                       {"kind": "potential", "family": "pearson", "a": 0.0,
@@ -257,3 +265,13 @@ def test_decompose_too_few_samples_exits_2(tmp_path):
     io.write_table(path, {"x": np.linspace(0, 1, 20)})
     assert run("decompose", "--samples", path, "--lower", -1, "--upper", 2,
                "--points", 101, "--out", tmp_path / "dec.csv") == 2
+
+
+@pytest.mark.parametrize("bandwidth", ["0", "-0.1", "nan", "inf"])
+def test_decompose_invalid_bandwidth_exits_2(tmp_path, capsys, bandwidth):
+    path = tmp_path / "samples.csv"
+    io.write_table(path, {"x": np.linspace(-1, 1, 200)})
+    assert run("decompose", "--samples", path, "--bandwidth", bandwidth,
+               "--lower", -2, "--upper", 2, "--points", 101,
+               "--out", tmp_path / "dec.csv") == 2
+    assert "bandwidth must be positive" in capsys.readouterr().err

@@ -1,11 +1,17 @@
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from equilib import (AnalyticPotential, Exponential, Normal,
-                     PolynomialPotential, SampleError, TabulatedPotential,
-                     UniformLattice, build_grid, catalog_equilibrium,
-                     decompose_samples, fisher_information_number,
-                     fit_linear_intensity, normalize, shannon_entropy)
+from equilib import (AnalyticPotential, EquilibriumDensity, Exponential,
+                     Normal, PolynomialPotential, SampleError,
+                     TabulatedPotential, UniformLattice, build_grid,
+                     catalog_equilibrium, decompose_samples,
+                     fisher_information_number, fit_linear_intensity,
+                     normalize, shannon_entropy, stochastic_intensity)
+from equilib.diagnostics import _kernel_density
 
 X = PolynomialPotential((0.0, 1.0))
 X2 = PolynomialPotential((0.0, 0.0, 1.0))
@@ -156,3 +162,98 @@ def test_all_samples_out_of_range_rejected():
     grid = build_grid("continuous", 0, 1, 101)
     with pytest.raises(SampleError):
         decompose_samples(np.full(200, 5.0), grid)
+
+
+@pytest.mark.parametrize("bandwidth", [0.0, -0.1, np.nan, np.inf, -np.inf])
+def test_invalid_bandwidth_rejected(bandwidth):
+    grid = build_grid("continuous", -4, 4, 201)
+    samples = np.random.default_rng(1).standard_normal(500)
+    with pytest.raises(SampleError, match="bandwidth"):
+        decompose_samples(samples, grid, estimator="kernel",
+                          bandwidth=bandwidth)
+
+
+# ---------------------------------------------------------------------------
+# binned kernel estimate against the direct sum
+
+
+def _direct_kernel_density(samples, grid, bandwidth):
+    """Direct O(N*M) Gaussian kernel sum, the reference for the binned one."""
+    out = np.zeros(grid.n_points)
+    norm = 1.0 / (samples.size * bandwidth * np.sqrt(2.0 * np.pi))
+    for start in range(0, samples.size, 4096):
+        chunk = samples[start:start + 4096]
+        z = (grid.points[:, None] - chunk[None, :]) / bandwidth
+        out += np.exp(-0.5 * z * z).sum(axis=1)
+    return out * norm
+
+
+@pytest.mark.parametrize("bw_over_h", [4.0, 10.0, 40.0])
+def test_binned_kernel_matches_direct_sum(bw_over_h):
+    rng = np.random.default_rng(7)
+    samples = rng.normal(1.0, 0.7, 20_000)
+    grid = build_grid("continuous", -2.5, 4.5, 701)
+    bandwidth = bw_over_h * grid.spacing
+    report = decompose_samples(samples, grid, estimator="kernel",
+                               bandwidth=bandwidth)
+    raw = _direct_kernel_density(samples, grid, bandwidth)
+    oracle = EquilibriumDensity(grid=grid, values=raw / grid.quadrature(raw),
+                                omega=1.0, k=1.0)
+    f = report.density_estimate.values
+    assert np.max(np.abs(f - oracle.values)) <= 1e-3 * np.max(oracle.values)
+
+    es, es_ref = report.stochastic_intensity, stochastic_intensity(oracle)
+    lo, hi = report.trim_interval
+    x = grid.points
+    ok = ~es.mask & ~es_ref.mask & (x >= lo) & (x <= hi)
+    assert np.max(np.abs(es.values[ok] - es_ref.values[ok])) <= (
+        1e-2 * np.max(np.abs(es_ref.values[ok])))
+
+
+def test_wide_bandwidth_with_far_outliers_matches_direct_sum():
+    rng = np.random.default_rng(11)
+    grid = build_grid("continuous", -2.5, 4.5, 701)
+    samples = np.concatenate([rng.normal(1.0, 0.7, 10_000), [-1e6, 1e6]])
+    bandwidth = 10 * (grid.upper - grid.lower)
+    start = time.perf_counter()
+    raw = _kernel_density(samples, grid, bandwidth)
+    elapsed = time.perf_counter() - start
+    ref = _direct_kernel_density(samples, grid, bandwidth)
+    assert np.max(np.abs(raw - ref)) <= 1e-6 * np.max(ref)
+    assert elapsed < 1.0
+
+
+def test_tiny_bandwidth_gives_binned_spikes():
+    # a direct sum underflows to zero everywhere; the binned estimate keeps
+    # the linear-binning weights of the samples' two neighbouring points
+    grid = build_grid("continuous", 0, 1, 101)
+    samples = np.full(200, 0.253)
+    report = decompose_samples(samples, grid, estimator="kernel",
+                               bandwidth=1e-6 * grid.spacing)
+    f = report.density_estimate.values
+    assert np.flatnonzero(f > 1e-12 * np.max(f)).tolist() == [25, 26]
+    assert f[25] / f[26] == pytest.approx(0.7 / 0.3, rel=1e-9)
+
+
+@given(samples=st.lists(st.floats(min_value=-1e3, max_value=1e3)
+                        | st.sampled_from([np.nan, np.inf, -np.inf]),
+                        min_size=1, max_size=50),
+       bandwidth=st.floats(min_value=0.0, max_value=1e308, exclude_min=True))
+@settings(max_examples=60, deadline=None)
+def test_kernel_estimate_is_nonnegative_and_finite(samples, bandwidth):
+    grid = build_grid("continuous", -1, 1, 41)
+    raw = _kernel_density(np.array(samples), grid, bandwidth)
+    assert raw.shape == (grid.n_points,)
+    assert np.all(np.isfinite(raw)) and np.all(raw >= 0)
+
+
+@given(fractions=st.lists(st.floats(min_value=-1.0, max_value=1.0),
+                          min_size=1, max_size=50),
+       bandwidth=st.floats(min_value=0.01, max_value=0.1))
+@settings(max_examples=60, deadline=None)
+def test_kernel_estimate_has_unit_mass_inside_grid(fractions, bandwidth):
+    # every sample lies more than 8 bandwidths inside [-1, 1]; h = 0.01
+    grid = build_grid("continuous", -1, 1, 201)
+    samples = 0.999 * (1.0 - 8 * bandwidth) * np.array(fractions)
+    raw = _kernel_density(samples, grid, bandwidth)
+    assert grid.quadrature(raw) == pytest.approx(1.0, abs=1e-6)
