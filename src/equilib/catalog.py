@@ -102,8 +102,10 @@ class Normal:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not self.sigma > 0:
-            raise SupportError("sigma must be positive")
+        # sigma**2 is a divisor and a log argument below
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
+            raise SupportError("sigma must be positive and sigma**2 finite "
+                               "and nonzero")
 
     @classmethod
     def from_b(cls, b: float) -> "Normal":

@@ -124,6 +124,8 @@ def _load_transform_input(args):
                           else args.grid_kind)
     if "f" in table:
         values = np.asarray(table["f"])
+        if not np.isfinite(values).all():
+            raise io.FormatError(f"{path}: f column has non-finite values")
         total = grid.quadrature(values)
         if not total > 0:
             raise io.FormatError(f"{path}: density is identically zero")

@@ -1,24 +1,30 @@
 """CSV table and JSON spec interchange formats.
 
-Tables are comma-separated with a mandatory header, LF line endings and
-floats printed with 17 significant digits so that 64-bit values round-trip
-exactly.  Specs are JSON documents tagged by a top-level "kind"; unknown
-fields are rejected.
+Tables are comma-separated with a mandatory header naming columns from
+TABLE_COLUMNS, LF line endings (CRLF is read too) and floats printed with
+17 significant digits so that 64-bit values round-trip exactly.  Reading
+needs one unquoted number per column on every non-empty line, at least one
+row and, if there is an x column, a finite, strictly increasing x; anything
+else is a FormatError.
+
+Specs are JSON documents tagged by a top-level "kind"; unknown fields are
+rejected.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import math
 import re
+from io import StringIO
+from itertools import chain
 
 import numpy as np
 
 from .catalog import (AnalyticPotential, Exponential, Gamma, LinearConstant,
                       Normal, PearsonParams, PearsonPotential, Poisson,
                       UniformLattice)
-from .errors import EquilibError, GridError
+from .errors import EquilibError
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .potential import PolynomialPotential, TabulatedPotential
 
@@ -33,55 +39,50 @@ class FormatError(EquilibError):
 # CSV tables
 
 
-def _fmt(v) -> str:
-    return format(float(v), ".17g")
-
-
 def write_table(path, columns: dict):
-    """Write named columns (subset of TABLE_COLUMNS) as a CSV table."""
+    """Write equal-length 1-D named columns (of TABLE_COLUMNS) as CSV."""
     names = list(columns)
     for name in names:
         if name not in TABLE_COLUMNS:
             raise FormatError(f"unknown table column {name!r}")
     arrays = [np.asarray(columns[n]) for n in names]
-    n_rows = arrays[0].shape[0]
+    if not arrays or any(a.ndim != 1 or a.size != arrays[0].size
+                         for a in arrays):
+        raise FormatError("table columns must be 1-D and of equal length")
+    cols = [(a.astype(int) if n == "mask" else a.astype(float)).tolist()
+            for n, a in zip(names, arrays)]
+    row = ",".join("%d" if n == "mask" else "%.17g" for n in names) + "\n"
+    cells = tuple(chain.from_iterable(zip(*cols)))
     with open(path, "w", newline="\n") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(names)
-        for i in range(n_rows):
-            row = []
-            for name, arr in zip(names, arrays):
-                if name == "mask":
-                    row.append(str(int(arr[i])))
-                else:
-                    v = float(arr[i])
-                    row.append("nan" if math.isnan(v) else _fmt(v))
-            writer.writerow(row)
+        fh.write(",".join(names) + "\n")
+        fh.write((row * arrays[0].size) % cells)
 
 
 def read_table(path) -> dict:
     """Read a CSV table back into named float arrays."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError(f"{path}: empty table") from None
-        for name in header:
-            if name not in TABLE_COLUMNS:
-                raise FormatError(f"{path}: unknown column {name!r}")
-        rows = list(reader)
-    if not rows:
+    with open(path) as fh:
+        header, _, body = fh.read().partition("\n")
+    if not header:
+        raise FormatError(f"{path}: empty table")
+    names = header.split(",")
+    for name in names:
+        if name not in TABLE_COLUMNS:
+            raise FormatError(f"{path}: unknown column {name!r}")
+    # loadtxt only warns on a body without data; reject it here instead
+    if not body.strip():
         raise FormatError(f"{path}: table has no rows")
     try:
-        data = np.array([[float(v) for v in row] for row in rows])
+        data = np.loadtxt(StringIO(body), delimiter=",", ndmin=2,
+                          comments=None)
     except ValueError as exc:
-        raise FormatError(f"{path}: non-numeric cell ({exc})") from None
-    if data.shape[1] != len(header):
+        raise FormatError(f"{path}: malformed table body ({exc})") from None
+    if data.shape[1] != len(names):
         raise FormatError(f"{path}: ragged rows")
-    out = {name: data[:, j] for j, name in enumerate(header)}
+    out = {name: data[:, j] for j, name in enumerate(names)}
     if "x" in out:
         x = out["x"]
+        if not np.isfinite(x).all():
+            raise FormatError(f"{path}: x column has non-finite values")
         if np.any(np.diff(x) <= 0):
             raise FormatError(f"{path}: x column is not strictly increasing")
     return out
@@ -205,6 +206,9 @@ def parse_potential(obj: dict):
                 a=obj["a"], b0=obj["b0"], b1=obj["b1"], b2=obj["b2"],
                 sign=obj.get("sign", "standard")))
         if family == "polynomial":
+            if not isinstance(obj["coeffs"], list):
+                raise FormatError("potential spec 'polynomial': coeffs must "
+                                  "be a list")
             return PolynomialPotential(tuple(obj["coeffs"]))
         # tabulated: CSV with x and U columns
         table = read_table(obj["csv"])
@@ -216,6 +220,11 @@ def parse_potential(obj: dict):
     except KeyError as exc:
         raise FormatError(
             f"potential spec '{family}': missing field {exc}") from None
+    except EquilibError:  # a ValueError too; keep its type and message
+        raise
+    except (ValueError, TypeError) as exc:
+        raise FormatError(
+            f"potential spec '{family}': bad field value ({exc})") from None
 
 
 def load_spec(path) -> dict:

@@ -54,6 +54,12 @@ def test_catalog_missing_parameter_exits_2(tmp_path):
     assert run("catalog", "--family", "exponential", "--out", out) == 2
 
 
+def test_catalog_normal_underflowing_sigma_exits_2(tmp_path, capsys):
+    assert run("catalog", "--family", "normal", "--sigma", "1e-320",
+               "--out", tmp_path / "n.csv") == 2
+    assert "sigma" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # transform
 
@@ -132,6 +138,36 @@ def test_transform_one_row_table_exits_2(tmp_path, capsys):
     assert run("transform", "--in", src, "--to", "density",
                "--out", tmp_path / "f.csv") == 2
     assert "at least 3 rows" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec", [
+    {"family": "polynomial", "coeffs": ["a", 1]},
+    {"family": "polynomial", "coeffs": "x"},
+    {"family": "polynomial", "coeffs": "12"},
+    {"family": "normal", "sigma": "1"},
+    {"family": "normal", "sigma": 1e-320},
+])
+def test_transform_bad_spec_value_exits_2(tmp_path, capsys, spec):
+    path = write_json(tmp_path / "pot.json", dict(spec, kind="potential"))
+    assert run("transform", "--in", path, "--to", "density",
+               "--lower", -1, "--upper", 1, "--points", 11,
+               "--out", tmp_path / "f.csv") == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("body, message", [
+    ("0,0.2\nnan,0.3\n2,0.3\n3,0.2\n", "x column has non-finite"),
+    ("0,0.2\n1,inf\n2,0.3\n3,0.2\n", "f column has non-finite"),
+    ("0,0.2\n1,nan\n2,0.3\n3,0.2\n", "f column has non-finite"),
+])
+def test_transform_non_finite_table_exits_2(tmp_path, capsys, body, message):
+    src = tmp_path / "f.csv"
+    src.write_text("x,f\n" + body)
+    assert run("transform", "--in", src, "--to", "potential",
+               "--out", tmp_path / "u.csv") == 2
+    err = capsys.readouterr().err
+    assert message in err and err.count("\n") == 1
 
 
 def test_transform_pearson_paper_sign_exits_3(tmp_path):

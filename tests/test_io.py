@@ -1,0 +1,106 @@
+import warnings
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from equilib import io
+
+GOLDEN = (
+    "x,f,mask\n"
+    "0,0.10000000000000001,1\n"
+    "1,-0,0\n"
+    "2,nan,1\n"
+    "3,-inf,0\n"
+    "4,4.9406564584124654e-324,0\n"
+    "5,1.7976931348623157e+308,1\n"
+)
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    nan = np.isnan(a)
+    return (np.array_equal(nan, np.isnan(b))
+            and np.array_equal(a[~nan].view(np.int64),
+                               b[~nan].view(np.int64)))
+
+
+def test_write_table_golden_bytes(tmp_path):
+    path = tmp_path / "t.csv"
+    f = [0.1, -0.0, np.nan, -np.inf, 5e-324, 1.7976931348623157e308]
+    mask = np.array([True, False, True, False, False, True])
+    io.write_table(path, {"x": np.arange(6.0), "f": f, "mask": mask})
+    assert path.read_bytes() == GOLDEN.encode()
+    table = io.read_table(path)
+    assert _same_bits(table["f"], f)
+    assert np.array_equal(table["mask"], mask)
+
+
+@given(data=arrays(np.float64,
+                   st.tuples(st.integers(1, 40), st.integers(1, 4))))
+@settings(max_examples=100, deadline=None)
+def test_table_round_trip_is_bit_exact(tmp_path_factory, data):
+    path = tmp_path_factory.mktemp("rt") / "t.csv"
+    names = ("f", "U", "U_tilde", "E_s")[:data.shape[1]]
+    columns = {"x": np.arange(data.shape[0], dtype=float)}
+    columns.update((name, data[:, j]) for j, name in enumerate(names))
+    io.write_table(path, columns)
+    table = io.read_table(path)
+    assert list(table) == list(columns)
+    for name, values in columns.items():
+        assert _same_bits(table[name], values)
+
+
+def test_read_table_accepts_crlf(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"x,f\r\n0,1.5\r\n1,-2\r\n")
+    table = io.read_table(path)
+    assert list(table) == ["x", "f"]
+    assert table["x"].tolist() == [0.0, 1.0]
+    assert table["f"].tolist() == [1.5, -2.0]
+
+
+@pytest.mark.parametrize("text, message", [
+    ("", "empty table"),
+    ("x,f\n", "no rows"),
+    ("x,f\n\n\n", "no rows"),
+    ("x,f\n0,1\n1,a\n", "malformed"),
+    ('x,f\n0,"1"\n1,2\n', "malformed"),
+    ("x,f\n0,0_3\n1,2\n", "malformed"),
+    ("x,f\n0,1\n1\n", "malformed"),
+    ("x,f\n0,1\n1,2,3\n", "malformed"),
+    ("x,f\n0\n1\n", "ragged"),
+    ("x,f,U\n0,1\n1,2\n", "ragged"),
+    ("x,g\n0,1\n1,2\n", "unknown column"),
+    ("x,f\n0,1\n0,2\n", "not strictly increasing"),
+    ("x,f\n0,1\nnan,2\n2,3\n", "non-finite"),
+    ("x,f\n0,1\n1,2\ninf,3\n", "non-finite"),
+])
+def test_read_table_rejects_malformed(tmp_path, text, message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(io.FormatError, match=message):
+            io.read_table(path)
+
+
+@pytest.mark.parametrize("columns", [
+    {},
+    {"x": [0.0, 1.0, 2.0], "f": [1.0, 2.0]},
+    {"x": [0.0, 1.0], "f": [1.0, 2.0, 3.0]},
+    {"x": [[0.0, 1.0]]},
+    {"x": 1.0},
+])
+def test_write_table_rejects_ragged_columns(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    with pytest.raises(io.FormatError, match="1-D and of equal length"):
+        io.write_table(path, columns)
+    assert not path.exists()
+
+
+def test_write_table_rejects_unknown_column(tmp_path):
+    with pytest.raises(io.FormatError, match="unknown table column"):
+        io.write_table(tmp_path / "t.csv", {"x": [0.0], "g": [1.0]})
