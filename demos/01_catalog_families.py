@@ -7,9 +7,7 @@ few members and checks the faces against each other.
 
 import numpy as np
 
-from equilib import (Exponential, Gamma, Normal, Poisson, UniformLattice,
-                     catalog_density, catalog_intensity,
-                     catalog_normalized_potential)
+from equilib import Exponential, Gamma, Normal, Poisson, UniformLattice
 
 families = [
     ("uniform lattice, N=8", UniformLattice(8)),
@@ -22,9 +20,9 @@ families = [
 for label, fam in families:
     grid = fam.default_grid()
     x = grid.points
-    f = catalog_density(fam, x)
-    u_tilde = catalog_normalized_potential(fam, x)
-    ec = catalog_intensity(fam, x)
+    f = fam.density(x)
+    u_tilde = fam.normalized_potential(x)
+    ec = fam.intensity(x)
 
     mass = grid.quadrature(f)
     consistency = np.max(np.abs(u_tilde + np.log(f)))

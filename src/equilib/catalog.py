@@ -1,31 +1,34 @@
 """Closed-form potential/intensity/density triples for the standard families.
 
-Each family exposes
+``FAMILIES`` names the families for the CLI and JSON specs, and
+``make_family`` builds one from its fields, which must be finite real
+numbers.  Each family exposes
 
 * ``potential(x)``             an (unnormalized) potential U with f = k e^(-U)
 * ``normalized_potential(x)``  U_tilde = -ln f, exact closed form
 * ``intensity(x)``             causal intensity -dU_tilde/dx
-* ``density(x)``               e^(-U_tilde)
+* ``density(x)``               e^(-U_tilde), shared by all families
 * ``default_grid()``           a support truncated so that the lost tail
                                mass is below 1e-10
 
-together with the Pearson-system generator, whose density is produced by
-integrating its causal intensity on a grid.
+together with the Pearson-system generator, whose density is the
+normalized integral of its causal intensity on a grid.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 from scipy import special as sp_special
 from scipy import stats as sp_stats
 
-from .errors import NonNormalizableError, PotentialError, SupportError
+from .errors import (FormatError, NonNormalizableError, PotentialError,
+                     SupportError)
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
-from .potential import (EquilibriumDensity, IntensityTable,
-                        TabulatedPotential, density_from_intensity, normalize)
+from .potential import EquilibriumDensity, normalize
 from .special import digamma
 
 DEFAULT_POINTS = 4001
@@ -36,14 +39,37 @@ def _asfloat(x):
     return np.asarray(x, dtype=float)
 
 
+class _Family:
+    """Base of the closed-form families: checked fields, one density."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise SupportError(
+                    f"{f.name} must be a finite real number, got {value!r}")
+
+    def density(self, x):
+        return np.exp(-self.normalized_potential(x))
+
+    def _check(self, x):
+        """x as floats, on the support x >= 0 unless a family narrows it."""
+        x = _asfloat(x)
+        if np.any(x < 0):
+            raise SupportError(f"{type(self).__name__} support is x >= 0")
+        return x
+
+
 @dataclass(frozen=True)
-class UniformLattice:
+class UniformLattice(_Family):
     """Uniform pmf on an N-point lattice; zero causal intensity."""
 
     n: int
 
     def __post_init__(self):
-        if self.n < 1:
+        super().__post_init__()
+        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
             raise SupportError("n must be a positive integer")
 
     def potential(self, x):
@@ -55,28 +81,20 @@ class UniformLattice:
     def intensity(self, x):
         return np.zeros_like(_asfloat(x))
 
-    def density(self, x):
-        return np.exp(-self.normalized_potential(x))
-
     def default_grid(self, n_points: int | None = None) -> Grid:
         return build_grid(LATTICE, 1, self.n, self.n)
 
 
 @dataclass(frozen=True)
-class Exponential:
+class Exponential(_Family):
     """Exp(a): constant causal intensity -a on x >= 0."""
 
     a: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.a > 0:
             raise SupportError("rate a must be positive")
-
-    def _check(self, x):
-        x = _asfloat(x)
-        if np.any(x < 0):
-            raise SupportError("exponential support is x >= 0")
-        return x
 
     def potential(self, x):
         return self.a * self._check(x)
@@ -87,21 +105,19 @@ class Exponential:
     def intensity(self, x):
         return np.full_like(self._check(x), -self.a)
 
-    def density(self, x):
-        return np.exp(-self.normalized_potential(x))
-
     def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
         return build_grid(CONTINUOUS, 0.0, 40.0 / self.a, n_points)
 
 
 @dataclass(frozen=True)
-class Normal:
+class Normal(_Family):
     """n(mu, sigma): linear causal intensity, harmonic-oscillator potential."""
 
     mu: float = 0.0
     sigma: float = 1.0
 
     def __post_init__(self):
+        super().__post_init__()
         # sigma**2 is a divisor and a log argument below
         if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
             raise SupportError("sigma must be positive and sigma**2 finite "
@@ -125,16 +141,13 @@ class Normal:
     def intensity(self, x):
         return -(_asfloat(x) - self.mu) / self.sigma ** 2
 
-    def density(self, x):
-        return np.exp(-self.normalized_potential(x))
-
     def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
         return build_grid(CONTINUOUS, self.mu - 8.0 * self.sigma,
                           self.mu + 8.0 * self.sigma, n_points)
 
 
 @dataclass(frozen=True)
-class LinearConstant:
+class LinearConstant(_Family):
     """Superposed intensities -a - b x: density k e^(-a x - b x^2 / 2).
 
     Completing the square identifies it with n(-a/b, sqrt(1/b)).
@@ -144,6 +157,7 @@ class LinearConstant:
     b: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.b > 0:
             raise SupportError("b must be positive")
 
@@ -162,28 +176,20 @@ class LinearConstant:
     def intensity(self, x):
         return -self.a - self.b * _asfloat(x)
 
-    def density(self, x):
-        return np.exp(-self.normalized_potential(x))
-
     def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
         return self.as_normal().default_grid(n_points)
 
 
 @dataclass(frozen=True)
-class Poisson:
+class Poisson(_Family):
     """Poi(lam) on the integer lattice; digamma-form causal intensity."""
 
     lam: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.lam > 0:
             raise SupportError("lambda must be positive")
-
-    def _check(self, x):
-        x = _asfloat(x)
-        if np.any(x < 0):
-            raise SupportError("Poisson support is x >= 0")
-        return x
 
     def potential(self, x):
         x = self._check(x)
@@ -196,24 +202,26 @@ class Poisson:
         x = self._check(x)
         return -digamma(x + 1.0) + math.log(self.lam)
 
-    def density(self, x):
-        return np.exp(-self.normalized_potential(x))
-
     def default_grid(self, n_points: int | None = None) -> Grid:
-        upper = max(30, int(math.ceil(self.lam + 10.0 * math.sqrt(self.lam))))
+        bound = self.lam + 10.0 * math.sqrt(self.lam)
+        if bound > 2.0 ** 53:  # integers above this are not exact floats
+            raise SupportError("lambda is too large for a default lattice; "
+                               "pass an explicit grid")
+        upper = max(30, math.ceil(bound))
         while sp_stats.poisson.sf(upper, self.lam) > TAIL_MASS:
             upper *= 2
         return build_grid(LATTICE, 0, upper, upper + 1)
 
 
 @dataclass(frozen=True)
-class Gamma:
+class Gamma(_Family):
     """Gamma(alpha, beta) with intensity -(1-alpha)/x - 1/beta on x > 0."""
 
     alpha: float
     beta: float
 
     def __post_init__(self):
+        super().__post_init__()
         if not (self.alpha > 0 and self.beta > 0):
             raise SupportError("alpha and beta must be positive")
 
@@ -251,9 +259,6 @@ class Gamma:
         x = self._check(x)
         return -(1.0 - self.alpha) / x - 1.0 / self.beta
 
-    def density(self, x):
-        return np.exp(-self.normalized_potential(x))
-
     def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
         upper = self.beta * (self.alpha + 10.0 * math.sqrt(self.alpha) + 15.0)
         while sp_special.gammaincc(self.alpha, upper / self.beta) > TAIL_MASS:
@@ -263,8 +268,23 @@ class Gamma:
         return build_grid(CONTINUOUS, lower, upper, n_points)
 
 
-CatalogFamily = (UniformLattice | Exponential | Normal | LinearConstant
-                 | Poisson | Gamma)
+FAMILIES = {"uniform": UniformLattice, "exponential": Exponential,
+            "normal": Normal, "linear_constant": LinearConstant,
+            "linear-constant": LinearConstant, "poisson": Poisson,
+            "gamma": Gamma}
+
+
+def make_family(name: str, params: dict) -> _Family:
+    """Build the family ``name`` from its fields; None values take defaults."""
+    cls = FAMILIES.get(name)
+    if cls is None:
+        raise FormatError(f"unknown family {name!r}")
+    given = {k: v for k, v in params.items() if v is not None}
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in given]
+    if missing:
+        raise FormatError(f"family {name!r} is missing {missing}")
+    return cls(**given)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +295,7 @@ CatalogFamily = (UniformLattice | Exponential | Normal | LinearConstant
 class AnalyticPotential:
     """Potential spec backed by a catalog family's closed forms."""
 
-    family: CatalogFamily
+    family: _Family
 
     def values_on(self, grid: Grid):
         return self.family.potential(grid.points)
@@ -329,12 +349,6 @@ def pearson_intensity(p: PearsonParams):
     return ec
 
 
-def _check_denominator(p: PearsonParams, grid: Grid):
-    den = p.denominator(grid.points)
-    if np.any(den == 0.0) or np.any(np.sign(den[1:]) != np.sign(den[:-1])):
-        raise PotentialError("Pearson denominator has a root inside the domain")
-
-
 @dataclass(frozen=True)
 class PearsonPotential:
     """Potential spec obtained by integrating a Pearson intensity."""
@@ -342,14 +356,17 @@ class PearsonPotential:
     params: PearsonParams
 
     def intensity_on(self, grid: Grid):
-        _check_denominator(self.params, grid)
+        den = self.params.denominator(grid.points)
+        if np.any(den == 0.0) or np.any(np.sign(den[1:]) != np.sign(den[:-1])):
+            raise PotentialError(
+                "Pearson denominator has a root inside the domain")
         return pearson_intensity(self.params)(grid.points)
 
     def values_on(self, grid: Grid):
         ec = self.intensity_on(grid)
         # an outward-pointing log-density slope at a grid edge means the
         # implied density keeps growing beyond the grid; reject rather than
-        # truncate a non-normalizable tail (same rule as pearson_density)
+        # truncate a non-normalizable tail
         if ec[0] < 0.0 or ec[-1] > 0.0:
             raise NonNormalizableError(
                 "Pearson density grows toward a grid boundary; the "
@@ -371,37 +388,14 @@ def pearson_density(p: PearsonParams, grid: Grid) -> EquilibriumDensity:
     """
     if grid.kind != CONTINUOUS:
         raise PotentialError("Pearson densities need a continuous grid")
-    _check_denominator(p, grid)
-    vals = pearson_intensity(p)(grid.points)
-    if vals[0] < 0.0 or vals[-1] > 0.0:
-        raise NonNormalizableError(
-            "Pearson density grows toward a grid boundary; the intensity "
-            "does not generate a normalizable density on this support"
-        )
-    table = IntensityTable(grid=grid, values=vals, kind="causal")
-    return density_from_intensity(table)
+    return normalize(PearsonPotential(p), grid)
 
 
 # ---------------------------------------------------------------------------
 # Functional front end
 
 
-def catalog_intensity(family: CatalogFamily, x):
-    """Closed-form causal intensity E_c(x)."""
-    return family.intensity(x)
-
-
-def catalog_normalized_potential(family: CatalogFamily, x):
-    """Closed-form normalized potential U_tilde(x) = -ln f(x)."""
-    return family.normalized_potential(x)
-
-
-def catalog_density(family: CatalogFamily, x):
-    """Closed-form density/pmf e^(-U_tilde(x))."""
-    return family.density(x)
-
-
-def catalog_equilibrium(family: CatalogFamily,
+def catalog_equilibrium(family: _Family,
                         grid: Grid | None = None) -> EquilibriumDensity:
     """Numeric equilibrium density of the family's potential on a grid."""
     if grid is None:

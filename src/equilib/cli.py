@@ -11,20 +11,20 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
 from . import io
-from .catalog import (AnalyticPotential, Exponential, Gamma, LinearConstant,
-                      Normal, Poisson, UniformLattice)
+from .catalog import FAMILIES, make_family
 from .diagnostics import decompose_samples, fit_linear_intensity
 from .errors import (EquilibError, MomentRangeError, NonNormalizableError)
-from .grid import CONTINUOUS, Grid, build_grid
+from .grid import Grid, build_grid
 from .maxent import MaxEntProblem, sample_u_moment, solve_maxent
 from .potential import (EquilibriumDensity, causal_intensity, normalize,
                         normalized_potential, potential_of_density,
                         stochastic_intensity)
-from .simulate import SimConfig, simulate
+from .simulate import simulate
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -51,38 +51,9 @@ def _grid_from_args(args) -> Grid | None:
 # catalog
 
 
-def _require(args, *names):
-    missing = [n for n in names if getattr(args, n) is None]
-    if missing:
-        raise io.FormatError(
-            f"family {args.family!r} needs "
-            + ", ".join(f"--{n}" for n in missing))
-
-
-def _family_from_args(args):
-    name = args.family
-    if name == "uniform":
-        _require(args, "n")
-        return UniformLattice(n=args.n)
-    if name == "exponential":
-        _require(args, "a")
-        return Exponential(a=args.a)
-    if name == "normal":
-        return Normal(mu=args.mu, sigma=args.sigma)
-    if name == "linear-constant":
-        _require(args, "a", "b")
-        return LinearConstant(a=args.a, b=args.b)
-    if name == "poisson":
-        _require(args, "lam")
-        return Poisson(lam=args.lam)
-    if name == "gamma":
-        _require(args, "alpha", "beta")
-        return Gamma(alpha=args.alpha, beta=args.beta)
-    raise io.FormatError(f"unknown family {name!r}")
-
-
 def cmd_catalog(args) -> int:
-    family = _family_from_args(args)
+    family = make_family(args.family, {
+        f.name: getattr(args, f.name) for f in fields(FAMILIES[args.family])})
     grid = _grid_from_args(args)
     if grid is None:
         grid = family.default_grid()
@@ -233,20 +204,7 @@ def cmd_simulate(args) -> int:
     obj = io.load_spec(args.config)
     if obj.get("kind") != "sim_config":
         raise io.FormatError(f"{args.config}: expected a sim_config spec")
-    io._check_fields(obj, {"kind", "potential", "grid", "dt", "n_steps",
-                           "burn_in", "n_chains", "seed"}, "sim_config")
-    try:
-        config = SimConfig(
-            potential=io.parse_potential(obj["potential"]),
-            grid=io.parse_grid(obj["grid"]),
-            dt=obj["dt"],
-            n_steps=int(obj["n_steps"]),
-            burn_in=int(obj["burn_in"]),
-            n_chains=int(obj["n_chains"]),
-            seed=int(obj["seed"]),
-        )
-    except KeyError as exc:
-        raise io.FormatError(f"sim_config: missing field {exc}") from None
+    config = io.parse_sim_config(obj)
     result = simulate(config)
     io.dump_json(args.out, {
         "kind": "sim_result",
@@ -306,17 +264,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("catalog", help="tabulate a closed-form family")
-    p.add_argument("--family", required=True,
-                   choices=["uniform", "exponential", "normal",
-                            "linear-constant", "poisson", "gamma"])
-    p.add_argument("--n", type=int)
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--mu", type=float, default=0.0)
-    p.add_argument("--sigma", type=float, default=1.0)
-    p.add_argument("--lam", "--lambda", dest="lam", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
+    p.add_argument("--family", required=True, choices=list(FAMILIES))
+    # one flag per family field; unset flags take the dataclass defaults
+    kinds = {f.name: f.type for cls in FAMILIES.values() for f in fields(cls)}
+    for name, kind in kinds.items():
+        aliases = ["--lambda"] if name == "lam" else []
+        p.add_argument(f"--{name}", *aliases,
+                       type=int if kind == "int" else float)
     _add_grid_args(p)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_catalog)

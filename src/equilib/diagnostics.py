@@ -25,10 +25,11 @@ import numpy as np
 
 from .errors import SampleError
 from .grid import CONTINUOUS, Grid
+from .maxent import _moment_and_var
 from .potential import (EquilibriumDensity, IntensityTable,
-                        NormalizedPotentialTable, TabulatedPotential,
-                        density_floor, eval_potential, normalize,
-                        potential_of_density, stochastic_intensity)
+                        NormalizedPotentialTable, density_floor,
+                        eval_potential, potential_of_density,
+                        stochastic_intensity)
 
 ENTROPY_IDENTITY_TOL = 1e-9
 MIN_SAMPLES = 100
@@ -61,10 +62,7 @@ def shannon_entropy(f: EquilibriumDensity) -> float:
 
 def fisher_information_number(u, lam: float, grid: Grid) -> float:
     """Var[u(X)] under the density k(lambda) e^(-lambda u)."""
-    uvals = eval_potential(u, grid)
-    f = normalize(TabulatedPotential(grid=grid, values=lam * uvals), grid)
-    mean = grid.quadrature(uvals * f.values)
-    return grid.quadrature(uvals * uvals * f.values) - mean * mean
+    return _moment_and_var(lam, eval_potential(u, grid), grid)[1]
 
 
 @dataclass(frozen=True)

@@ -31,3 +31,7 @@ class SampleError(EquilibError):
 
 class StabilityError(EquilibError):
     """Time step violates the explicit-integrator stability guard."""
+
+
+class FormatError(EquilibError):
+    """Malformed CSV table, JSON spec or command-line parameters."""

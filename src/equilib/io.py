@@ -16,23 +16,21 @@ from __future__ import annotations
 import json
 import math
 import re
+from contextlib import contextmanager
+from dataclasses import fields
 from io import StringIO
 from itertools import chain
 
 import numpy as np
 
-from .catalog import (AnalyticPotential, Exponential, Gamma, LinearConstant,
-                      Normal, PearsonParams, PearsonPotential, Poisson,
-                      UniformLattice)
-from .errors import EquilibError
+from .catalog import (FAMILIES, AnalyticPotential, PearsonParams,
+                      PearsonPotential, make_family)
+from .errors import EquilibError, FormatError
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .potential import PolynomialPotential, TabulatedPotential
+from .simulate import SimConfig
 
 TABLE_COLUMNS = ("x", "f", "U", "U_tilde", "E_s", "E_c", "residual", "mask")
-
-
-class FormatError(EquilibError):
-    """Malformed CSV table or JSON spec."""
 
 
 # ---------------------------------------------------------------------------
@@ -148,13 +146,8 @@ def parse_polynomial(text: str) -> PolynomialPotential:
 # ---------------------------------------------------------------------------
 # JSON specs
 
-_FAMILY_FIELDS = {
-    "uniform": {"n"},
-    "exponential": {"a"},
-    "normal": {"mu", "sigma"},
-    "linear_constant": {"a", "b"},
-    "poisson": {"lam"},
-    "gamma": {"alpha", "beta"},
+# fields of the potential specs that are not catalog families (FAMILIES)
+_SPEC_FIELDS = {
     "pearson": {"a", "b0", "b1", "b2", "sign"},
     "tabulated": {"csv"},
     "polynomial": {"coeffs"},
@@ -170,61 +163,73 @@ def _check_fields(obj: dict, allowed: set, what: str):
             raise FormatError(f"{what}: field {key!r} is not finite")
 
 
+@contextmanager
+def _spec_errors(what: str):
+    """Report a spec's missing fields and bad values as FormatError."""
+    try:
+        yield
+    except KeyError as exc:
+        raise FormatError(f"{what}: missing field {exc}") from None
+    except EquilibError:  # a ValueError too; keep its type and message
+        raise
+    except (ValueError, TypeError) as exc:
+        raise FormatError(f"{what}: bad field value ({exc})") from None
+
+
 def parse_grid(obj: dict) -> Grid:
     _check_fields(obj, {"kind", "grid_kind", "lower", "upper", "n_points"},
                   "grid spec")
-    try:
+    with _spec_errors("grid spec"):
         return build_grid(obj["grid_kind"], obj["lower"], obj["upper"],
                           obj["n_points"])
-    except KeyError as exc:
-        raise FormatError(f"grid spec: missing field {exc}") from None
 
 
 def parse_potential(obj: dict):
     family = obj.get("family")
-    if family not in _FAMILY_FIELDS:
+    if family in FAMILIES:
+        allowed = {f.name for f in fields(FAMILIES[family])}
+    elif family in _SPEC_FIELDS:
+        allowed = _SPEC_FIELDS[family]
+    else:
         raise FormatError(f"unknown potential family {family!r}")
-    _check_fields(obj, _FAMILY_FIELDS[family] | {"kind", "family"},
-                  f"potential spec '{family}'")
-    try:
-        if family == "uniform":
-            return AnalyticPotential(UniformLattice(n=int(obj["n"])))
-        if family == "exponential":
-            return AnalyticPotential(Exponential(a=obj["a"]))
-        if family == "normal":
-            return AnalyticPotential(Normal(mu=obj.get("mu", 0.0),
-                                            sigma=obj.get("sigma", 1.0)))
-        if family == "linear_constant":
-            return AnalyticPotential(LinearConstant(a=obj["a"], b=obj["b"]))
-        if family == "poisson":
-            return AnalyticPotential(Poisson(lam=obj["lam"]))
-        if family == "gamma":
-            return AnalyticPotential(Gamma(alpha=obj["alpha"],
-                                           beta=obj["beta"]))
+    what = f"potential spec '{family}'"
+    _check_fields(obj, allowed | {"kind", "family"}, what)
+    with _spec_errors(what):
+        if family in FAMILIES:
+            return AnalyticPotential(make_family(
+                family, {k: obj[k] for k in allowed if k in obj}))
         if family == "pearson":
             return PearsonPotential(PearsonParams(
                 a=obj["a"], b0=obj["b0"], b1=obj["b1"], b2=obj["b2"],
                 sign=obj.get("sign", "standard")))
         if family == "polynomial":
             if not isinstance(obj["coeffs"], list):
-                raise FormatError("potential spec 'polynomial': coeffs must "
-                                  "be a list")
+                raise FormatError(f"{what}: coeffs must be a list")
             return PolynomialPotential(tuple(obj["coeffs"]))
         # tabulated: CSV with x and U columns
+        if not isinstance(obj["csv"], str):
+            raise FormatError(f"{what}: csv must be a file path string")
         table = read_table(obj["csv"])
         if "U" not in table:
             raise FormatError(f"{obj['csv']}: tabulated potential needs a "
                               f"'U' column")
         grid = grid_from_x(table["x"])
         return TabulatedPotential(grid=grid, values=table["U"])
-    except KeyError as exc:
-        raise FormatError(
-            f"potential spec '{family}': missing field {exc}") from None
-    except EquilibError:  # a ValueError too; keep its type and message
-        raise
-    except (ValueError, TypeError) as exc:
-        raise FormatError(
-            f"potential spec '{family}': bad field value ({exc})") from None
+
+
+def parse_sim_config(obj: dict) -> SimConfig:
+    _check_fields(obj, {"kind", "potential", "grid", "dt", "n_steps",
+                        "burn_in", "n_chains", "seed"}, "sim_config")
+    with _spec_errors("sim_config"):
+        return SimConfig(
+            potential=parse_potential(obj["potential"]),
+            grid=parse_grid(obj["grid"]),
+            dt=obj["dt"],
+            n_steps=int(obj["n_steps"]),
+            burn_in=int(obj["burn_in"]),
+            n_chains=int(obj["n_chains"]),
+            seed=int(obj["seed"]),
+        )
 
 
 def load_spec(path) -> dict:

@@ -9,11 +9,11 @@ bisection on a bracket grown by doubling when Newton stalls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, MomentRangeError, SampleError
+from .errors import MomentRangeError, SampleError
 from .grid import Grid
 from .potential import (EquilibriumDensity, NormalizedPotentialTable,
                         TabulatedPotential, eval_potential, normalize,
@@ -67,10 +67,11 @@ def sample_u_moment(samples, u) -> float:
 
 
 def _moment_and_var(lam: float, uvals: np.ndarray, grid: Grid):
+    """E[u], Var[u] and the density k(lambda) e^(-lambda u) on the grid."""
     f = normalize(TabulatedPotential(grid=grid, values=lam * uvals), grid)
     mean = grid.quadrature(uvals * f.values)
     var = grid.quadrature(uvals * uvals * f.values) - mean * mean
-    return mean, max(var, 0.0), f
+    return mean, var, f
 
 
 def solve_maxent(p: MaxEntProblem) -> MaxEntSolution:

@@ -19,12 +19,12 @@ the tabulated potential; objects may additionally provide ``intensity_on(grid)``
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, NonNormalizableError, PotentialError
-from .grid import CONTINUOUS, LATTICE, Grid
+from .errors import NonNormalizableError, PotentialError
+from .grid import CONTINUOUS, Grid
 
 # Absolute and relative density floors below which logs/derivatives are
 # masked instead of returning infinities.
@@ -199,12 +199,10 @@ def eval_potential(U, grid: Grid) -> np.ndarray:
 # The transforms
 
 
-def normalize(U, grid: Grid) -> EquilibriumDensity:
-    """Equilibrium density k e^(-U) on the grid.
+def _log_partition(U, grid: Grid):
+    """U on the grid, its minimum m, e^-(U - m) and its quadrature Omega e^m.
 
-    The potential is shifted by its minimum before exponentiating (the
-    density is invariant to constant shifts of U) so that the quadrature
-    never overflows; the shift is folded back into omega.
+    The shift by m (the density is invariant to it) keeps the sum finite.
     """
     vals = eval_potential(U, grid)
     vmin = float(np.min(vals))
@@ -214,6 +212,12 @@ def normalize(U, grid: Grid) -> EquilibriumDensity:
         raise NonNormalizableError(
             "statistical sum vanished or overflowed on this grid"
         )
+    return vals, vmin, expv, omega_shifted
+
+
+def normalize(U, grid: Grid) -> EquilibriumDensity:
+    """Equilibrium density k e^(-U) on the grid."""
+    _, vmin, expv, omega_shifted = _log_partition(U, grid)
     density = expv / omega_shifted
     omega = omega_shifted * np.exp(-vmin)
     return EquilibriumDensity(grid=grid, values=density, omega=omega,
@@ -222,14 +226,7 @@ def normalize(U, grid: Grid) -> EquilibriumDensity:
 
 def normalized_potential(U, grid: Grid) -> NormalizedPotentialTable:
     """U - ln k, with k the normalizing constant of e^(-U) on the grid."""
-    vals = eval_potential(U, grid)
-    vmin = float(np.min(vals))
-    expv = np.exp(-(vals - vmin))
-    omega_shifted = grid.quadrature(expv)
-    if not (omega_shifted > 0.0 and np.isfinite(omega_shifted)):
-        raise NonNormalizableError(
-            "statistical sum vanished or overflowed on this grid"
-        )
+    vals, vmin, _, omega_shifted = _log_partition(U, grid)
     return NormalizedPotentialTable(
         grid=grid, values=(vals - vmin) + np.log(omega_shifted)
     )

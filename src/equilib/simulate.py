@@ -86,13 +86,10 @@ def simulate(config: SimConfig) -> SimResult:
             f"{STABILITY_LIMIT} stability guard"
         )
 
-    if hasattr(config.potential, "intensity_on") and hasattr(
-            config.potential, "at"):
-        family = getattr(config.potential, "family", None)
-        drift = (family.intensity if family is not None
-                 else lambda x: np.interp(x, grid.points, ec.values))
-    else:
-        drift = lambda x: np.interp(x, grid.points, ec.values)
+    # closed-form drift for catalog families, else interpolate the table
+    family = getattr(config.potential, "family", None)
+    drift = (family.intensity if family is not None
+             else lambda x: np.interp(x, grid.points, ec.values))
 
     rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
     x = np.array([rng.uniform(grid.lower, grid.upper) for rng in rngs])

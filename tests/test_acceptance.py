@@ -14,8 +14,7 @@ from equilib import (AnalyticPotential, Exponential, Gamma, LinearConstant,
                      MaxEntProblem, MomentRangeError, Normal, PearsonParams,
                      Poisson, PolynomialPotential, SimConfig,
                      TabulatedPotential, UniformLattice, build_grid,
-                     catalog_density, catalog_equilibrium,
-                     catalog_normalized_potential, cli, decompose_samples,
+                     catalog_equilibrium, cli, decompose_samples,
                      equilibrium_residual, fisher_information_number,
                      fit_linear_intensity, io, normalize, pearson_density,
                      shannon_entropy, simulate, solve_maxent)
@@ -47,13 +46,13 @@ def test_catalog_fidelity():
         g0 = fam.default_grid()
         grid = build_grid("continuous", g0.lower, g0.upper, 4001)
         x = grid.points
-        err = np.abs(catalog_normalized_potential(fam, x)
-                     + np.log(catalog_density(fam, x)))
+        err = np.abs(fam.normalized_potential(x)
+                     + np.log(fam.density(x)))
         assert np.max(err) <= 1e-8, type(fam).__name__
     for fam in [UniformLattice(8), Poisson(2.0)]:
         x = fam.default_grid().points
-        err = np.abs(catalog_normalized_potential(fam, x)
-                     + np.log(catalog_density(fam, x)))
+        err = np.abs(fam.normalized_potential(x)
+                     + np.log(fam.density(x)))
         assert np.max(err) <= 1e-12, type(fam).__name__
     assert time.perf_counter() - start < 1.0
 

@@ -3,12 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from equilib import (AnalyticPotential, Exponential, Gamma, LinearConstant,
-                     NonNormalizableError, Normal, PearsonParams, Poisson,
-                     PotentialError, SupportError, UniformLattice, build_grid,
-                     catalog_density, catalog_equilibrium, catalog_intensity,
-                     catalog_normalized_potential, normalize, pearson_density,
+from equilib import (AnalyticPotential, Exponential, Gamma, IntensityTable,
+                     LinearConstant, NonNormalizableError, Normal,
+                     PearsonParams, Poisson, PotentialError, SupportError,
+                     UniformLattice, build_grid, catalog_equilibrium,
+                     density_from_intensity, normalize, pearson_density,
                      pearson_intensity, stochastic_intensity)
+from equilib.catalog import FAMILIES, make_family
+from equilib.errors import FormatError
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -28,27 +30,27 @@ ALL_FAMILIES = CONTINUOUS_FAMILIES + [UniformLattice(8), Poisson(2.0)]
 
 
 def test_normal_intensity_linear():
-    assert catalog_intensity(Normal.from_b(1.0), 2.5) == pytest.approx(-2.5)
+    assert Normal.from_b(1.0).intensity(2.5) == pytest.approx(-2.5)
 
 
 def test_uniform_intensity_zero():
-    assert catalog_intensity(UniformLattice(10), 3.0) == 0.0
+    assert UniformLattice(10).intensity(3.0) == 0.0
 
 
 def test_poisson_intensity_at_zero_is_euler_gamma():
     # -psi(1) + ln(1) = Euler-Mascheroni constant
-    assert catalog_intensity(Poisson(1.0), 0.0) == pytest.approx(
+    assert Poisson(1.0).intensity(0.0) == pytest.approx(
         EULER_GAMMA, abs=1e-12)
 
 
 def test_exponential_intensity_constant():
-    assert catalog_intensity(Exponential(3.0), 1.7) == pytest.approx(-3.0)
+    assert Exponential(3.0).intensity(1.7) == pytest.approx(-3.0)
 
 
 def test_gamma_intensity_form():
     fam = Gamma(alpha=0.5, beta=1.0)
     # -(1 - alpha)/x - 1/beta
-    assert catalog_intensity(fam, 2.0) == pytest.approx(-0.25 - 1.0)
+    assert fam.intensity(2.0) == pytest.approx(-0.25 - 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +58,7 @@ def test_gamma_intensity_form():
 
 
 def test_exponential_normalized_potential_at_zero():
-    assert catalog_normalized_potential(Exponential(2.0), 0.0) == \
+    assert Exponential(2.0).normalized_potential(0.0) == \
         pytest.approx(-math.log(2.0), abs=1e-14)
 
 
@@ -66,34 +68,34 @@ def test_poisson_potential_matches_pmf_oracle():
     # independent oracle: pmf = lam^x e^(-lam) / x!
     pmf = np.array([lam ** x * math.exp(-lam) / math.factorial(x)
                     for x in xs])
-    vals = catalog_density(Poisson(lam), xs.astype(float))
+    vals = Poisson(lam).density(xs.astype(float))
     assert np.max(np.abs(vals - pmf)) < 1e-14
-    assert catalog_density(Poisson(2.0), 3.0) == pytest.approx(
+    assert Poisson(2.0).density(3.0) == pytest.approx(
         math.exp(-2.0) * 8.0 / 6.0, abs=1e-14)
 
 
 def test_gamma_shape_one_degenerates_to_exponential():
     xs = np.linspace(0.0, 20.0, 500)
-    gamma_vals = catalog_density(Gamma(alpha=1.0, beta=1.0), xs)
-    exp_vals = catalog_density(Exponential(1.0), xs)
+    gamma_vals = Gamma(alpha=1.0, beta=1.0).density(xs)
+    exp_vals = Exponential(1.0).density(xs)
     assert np.max(np.abs(gamma_vals - exp_vals)) < 1e-12
 
 
 def test_gamma_exp_potential_identity():
     # Gamma(1,1) at x = 3: U_tilde = 3, density e^(-3)
-    assert catalog_normalized_potential(Gamma(1.0, 1.0), 3.0) == \
+    assert Gamma(1.0, 1.0).normalized_potential(3.0) == \
         pytest.approx(3.0, abs=1e-14)
-    assert catalog_density(Gamma(1.0, 1.0), 3.0) == pytest.approx(
+    assert Gamma(1.0, 1.0).density(3.0) == pytest.approx(
         math.exp(-3.0), abs=1e-15)
 
 
 def test_normal_density_at_mode():
-    assert catalog_density(Normal.from_b(1.0), 0.0) == pytest.approx(
+    assert Normal.from_b(1.0).density(0.0) == pytest.approx(
         1.0 / math.sqrt(2 * math.pi), abs=1e-15)
 
 
 def test_uniform_density():
-    assert catalog_density(UniformLattice(4), 2.0) == pytest.approx(0.25)
+    assert UniformLattice(4).density(2.0) == pytest.approx(0.25)
 
 
 @pytest.mark.parametrize("fam", ALL_FAMILIES,
@@ -101,8 +103,8 @@ def test_uniform_density():
 def test_potential_density_consistency(fam):
     grid = fam.default_grid()
     x = grid.points
-    lhs = catalog_normalized_potential(fam, x)
-    rhs = -np.log(catalog_density(fam, x))
+    lhs = fam.normalized_potential(x)
+    rhs = -np.log(fam.density(x))
     assert np.max(np.abs(lhs - rhs)) <= 1e-12
 
 
@@ -132,7 +134,7 @@ def test_analytic_intensity_matches_numeric(fam):
     interior = ~es.mask
     interior[0] = interior[-1] = False
     diff = np.abs(es.values[interior]
-                  - (-catalog_intensity(fam, grid.points[interior])))
+                  - (-fam.intensity(grid.points[interior])))
     assert np.max(diff) < 100.0 * grid.spacing ** 2
 
 
@@ -154,7 +156,7 @@ def test_poisson_lattice_log_difference():
 
 def test_gamma_rejects_nonpositive_argument():
     with pytest.raises(SupportError):
-        catalog_normalized_potential(Gamma(0.5, 1.0), 0.0)
+        Gamma(0.5, 1.0).normalized_potential(0.0)
 
 
 def test_gamma_rejects_bad_shape():
@@ -224,3 +226,79 @@ def test_catalog_equilibrium_matches_closed_form():
         f = catalog_equilibrium(fam)
         exact = fam.density(f.grid.points)
         assert np.max(np.abs(f.values - exact)) < 2e-5, type(fam).__name__
+
+
+# ---------------------------------------------------------------------------
+# family registry and field checks
+
+
+@pytest.mark.parametrize("cls, fields", [
+    (UniformLattice, {"n": 8}),
+    (Exponential, {"a": 2.0}),
+    (Normal, {"mu": 0.0, "sigma": 1.0}),
+    (LinearConstant, {"a": 1.0, "b": 2.0}),
+    (Poisson, {"lam": 2.0}),
+    (Gamma, {"alpha": 2.0, "beta": 1.0}),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, True, "1",
+                                 None])
+def test_families_reject_non_finite_or_non_real_fields(cls, fields, bad):
+    for name in fields:
+        with pytest.raises(SupportError, match=name):
+            cls(**dict(fields, **{name: bad}))
+
+
+@pytest.mark.parametrize("n", [2.5, 8.0, "8", 0, -3])
+def test_uniform_lattice_needs_a_positive_integer(n):
+    with pytest.raises(SupportError):
+        UniformLattice(n)
+
+
+def test_uniform_lattice_accepts_numpy_integers():
+    assert UniformLattice(np.int64(8)) == UniformLattice(8)
+
+
+def test_registry_holds_both_linear_constant_spellings():
+    assert FAMILIES["linear_constant"] is FAMILIES["linear-constant"] \
+        is LinearConstant
+    assert set(FAMILIES.values()) == {UniformLattice, Exponential, Normal,
+                                      LinearConstant, Poisson, Gamma}
+
+
+def test_make_family_applies_defaults_and_drops_none():
+    assert make_family("normal", {}) == Normal(0.0, 1.0)
+    assert make_family("normal", {"mu": None, "sigma": 2.0}) == Normal(0.0, 2.0)
+    assert make_family("linear-constant", {"a": 1.0, "b": 2.0}) == \
+        LinearConstant(1.0, 2.0)
+
+
+def test_make_family_reports_missing_and_unknown():
+    with pytest.raises(FormatError, match="alpha"):
+        make_family("gamma", {"beta": 1.0, "alpha": None})
+    with pytest.raises(FormatError, match="unknown family"):
+        make_family("cauchy", {})
+
+
+def test_poisson_default_grid_rejects_inexact_lattice():
+    # the bound is checked before any lattice is allocated
+    with pytest.raises(SupportError, match="explicit grid"):
+        Poisson(1e300).default_grid()
+    with pytest.raises(SupportError, match="explicit grid"):
+        Poisson(2.0 ** 54).default_grid()
+
+
+def test_pearson_density_equals_integrated_intensity():
+    p = PearsonParams(a=0.5, b0=2.0, b1=0.1, b2=0.0)
+    grid = build_grid("continuous", -6.0, 7.0, 1301)
+    table = IntensityTable(grid=grid, values=pearson_intensity(p)(grid.points),
+                           kind="causal")
+    expected = density_from_intensity(table)
+    got = pearson_density(p, grid)
+    assert np.array_equal(got.values, expected.values)
+    assert got.omega == expected.omega
+
+
+def test_pearson_density_needs_continuous_grid():
+    p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0)
+    with pytest.raises(PotentialError, match="continuous"):
+        pearson_density(p, build_grid("lattice", 0, 10, 11))

@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from equilib import cli, io
+from equilib import Normal, cli, io
+from equilib.catalog import FAMILIES, make_family
 
 
 def run(*argv):
@@ -58,6 +59,105 @@ def test_catalog_normal_underflowing_sigma_exits_2(tmp_path, capsys):
     assert run("catalog", "--family", "normal", "--sigma", "1e-320",
                "--out", tmp_path / "n.csv") == 2
     assert "sigma" in capsys.readouterr().err
+
+
+def _one_line_error(capsys):
+    err = capsys.readouterr().err
+    return err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("family, params, grid", [
+    ("normal", ["--mu", "nan"], ["--lower", 0.5, "--upper", 3]),
+    ("exponential", ["--a", "inf"], ["--lower", 0.5, "--upper", 3]),
+    ("poisson", ["--lam", "inf"],
+     ["--grid-kind", "lattice", "--lower", 0, "--upper", 10]),
+    ("gamma", ["--alpha", "inf", "--beta", 1], ["--lower", 0.5, "--upper", 3]),
+    ("linear-constant", ["--a", "nan", "--b", 1],
+     ["--lower", 0.5, "--upper", 3]),
+    ("linear_constant", ["--a", 1, "--b=-inf"],
+     ["--lower", 0.5, "--upper", 3]),
+])
+def test_catalog_non_finite_parameter_exits_2(tmp_path, capsys, family,
+                                              params, grid):
+    out = tmp_path / "x.csv"
+    assert run("catalog", "--family", family, *params, *grid,
+               "--points", 11, "--out", out) == 2
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_catalog_poisson_huge_lambda_exits_2(tmp_path, capsys):
+    out = tmp_path / "p.csv"
+    assert run("catalog", "--family", "poisson", "--lam", "1e300",
+               "--out", out) == 2
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
+FAMILY_PARAMS = {
+    "uniform": {"n": 8},
+    "exponential": {"a": 2.0},
+    "normal": {"mu": 0.5, "sigma": 2.0},
+    "linear_constant": {"a": 1.0, "b": 2.0},
+    "linear-constant": {"a": 1.0, "b": 2.0},
+    "poisson": {"lam": 3.0},
+    "gamma": {"alpha": 2.0, "beta": 1.5},
+}
+
+
+def _cli_family(tmp_path, monkeypatch, family, params):
+    built = []
+
+    def spy(name, given):
+        built.append(make_family(name, given))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "make_family", spy)
+    flags = [str(a) for k, v in params.items() for a in (f"--{k}", v)]
+    assert run("catalog", "--family", family, *flags,
+               "--out", tmp_path / "c.csv") == 0
+    return built[0]
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_catalog_and_json_specs_build_the_same_family(tmp_path, monkeypatch,
+                                                      family):
+    assert set(FAMILY_PARAMS) == set(FAMILIES)
+    params = FAMILY_PARAMS[family]
+    from_cli = _cli_family(tmp_path, monkeypatch, family, params)
+    spec = io.parse_potential(dict(params, kind="potential", family=family))
+    assert from_cli == spec.family == FAMILIES[family](**params)
+    assert type(from_cli) is FAMILIES[family]
+
+
+def test_catalog_and_json_normal_defaults_agree(tmp_path, monkeypatch):
+    from_cli = _cli_family(tmp_path, monkeypatch, "normal", {})
+    assert from_cli == io.parse_potential({"family": "normal"}).family \
+        == Normal(0.0, 1.0)
+
+
+def test_uniform_lattice_n_from_cli_and_json(tmp_path, monkeypatch):
+    from_cli = _cli_family(tmp_path, monkeypatch, "uniform", {"n": 8})
+    assert from_cli == io.parse_potential({"family": "uniform", "n": 8}).family
+
+
+@pytest.mark.parametrize("n", [2.5, "8"])
+def test_transform_uniform_non_integer_n_exits_2(tmp_path, capsys, n):
+    path = write_json(tmp_path / "u.json",
+                      {"kind": "potential", "family": "uniform", "n": n})
+    assert run("transform", "--in", path, "--to", "density",
+               "--out", tmp_path / "f.csv") == 2
+    err = capsys.readouterr().err
+    assert "n must be" in err and err.count("\n") == 1
+
+
+def test_transform_tabulated_csv_must_be_a_path(tmp_path, capsys):
+    path = write_json(tmp_path / "t.json",
+                      {"kind": "potential", "family": "tabulated", "csv": 5})
+    assert run("transform", "--in", path, "--to", "density",
+               "--lower", 0, "--upper", 1, "--points", 5,
+               "--out", tmp_path / "f.csv") == 2
+    assert _one_line_error(capsys)
 
 
 # ---------------------------------------------------------------------------
@@ -267,6 +367,19 @@ def test_simulate_unstable_config_exits_2(tmp_path):
     path = write_json(tmp_path / "cfg.json", cfg)
     assert run("simulate", "--config", path, "--out",
                tmp_path / "res.json") == 2
+
+
+@pytest.mark.parametrize("change", [
+    {"dt": "a"},
+    {"n_steps": "a"},
+    {"grid": dict(SIM_CONFIG["grid"], n_points="a")},
+])
+def test_simulate_non_numeric_field_exits_2(tmp_path, capsys, change):
+    path = write_json(tmp_path / "cfg.json", dict(SIM_CONFIG, **change))
+    assert run("simulate", "--config", path, "--out",
+               tmp_path / "res.json") == 2
+    err = capsys.readouterr().err
+    assert "bad field value" in err and err.count("\n") == 1
 
 
 def test_simulate_unknown_field_exits_2(tmp_path):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from equilib import io
+from equilib import StabilityError, SupportError, io
 
 GOLDEN = (
     "x,f,mask\n"
@@ -104,3 +104,47 @@ def test_write_table_rejects_ragged_columns(tmp_path, columns):
 def test_write_table_rejects_unknown_column(tmp_path):
     with pytest.raises(io.FormatError, match="unknown table column"):
         io.write_table(tmp_path / "t.csv", {"x": [0.0], "g": [1.0]})
+
+
+# ---------------------------------------------------------------------------
+# JSON specs
+
+
+def test_tabulated_spec_csv_must_be_a_string():
+    # open() accepts an int as a file descriptor; the spec must not
+    for csv in (5, None, ["u.csv"]):
+        with pytest.raises(io.FormatError, match="csv must be"):
+            io.parse_potential({"family": "tabulated", "csv": csv})
+
+
+SIM = {"kind": "sim_config", "potential": {"family": "normal"},
+       "grid": {"grid_kind": "continuous", "lower": -3.0, "upper": 3.0,
+                "n_points": 11},
+       "dt": 0.01, "n_steps": 10, "burn_in": 1, "n_chains": 1, "seed": 1}
+
+
+@pytest.mark.parametrize("change, message", [
+    ({"dt": "a"}, "sim_config: bad field value"),
+    ({"seed": [1]}, "sim_config: bad field value"),
+    ({"grid": dict(SIM["grid"], lower="a")}, "grid spec: bad field value"),
+    ({"potential": {"family": "normal", "mu": "a"}}, "mu must be"),
+])
+def test_parse_sim_config_maps_bad_values(change, message):
+    with pytest.raises(io.FormatError if "bad" in message else SupportError,
+                       match=message):
+        io.parse_sim_config(dict(SIM, **change))
+
+
+def test_parse_sim_config_keeps_library_errors():
+    # StabilityError is a ValueError; it must not become a FormatError
+    with pytest.raises(StabilityError):
+        io.parse_sim_config(dict(SIM, dt=-1.0))
+    config = io.parse_sim_config(SIM)
+    assert config.n_steps == 10 and config.grid.n_points == 11
+
+
+def test_parse_sim_config_reports_missing_field():
+    obj = dict(SIM)
+    del obj["seed"]
+    with pytest.raises(io.FormatError, match="missing field 'seed'"):
+        io.parse_sim_config(obj)
