@@ -373,9 +373,7 @@ class PearsonPotential:
                 "intensity does not generate a normalizable density on "
                 "this support"
             )
-        h = grid.spacing
-        increments = 0.5 * h * (ec[1:] + ec[:-1])
-        return -np.concatenate(([0.0], np.cumsum(increments)))
+        return -grid.antiderivative(ec)
 
 
 def pearson_density(p: PearsonParams, grid: Grid) -> EquilibriumDensity:

@@ -21,9 +21,9 @@ from .diagnostics import decompose_samples, fit_linear_intensity
 from .errors import (EquilibError, MomentRangeError, NonNormalizableError)
 from .grid import Grid, build_grid
 from .maxent import MaxEntProblem, sample_u_moment, solve_maxent
-from .potential import (EquilibriumDensity, causal_intensity, normalize,
-                        normalized_potential, potential_of_density,
-                        stochastic_intensity)
+from .potential import (EquilibriumDensity, TabulatedPotential,
+                        causal_intensity, normalize, normalized_potential,
+                        potential_of_density, stochastic_intensity)
 from .simulate import simulate
 
 EXIT_OK = 0
@@ -94,17 +94,10 @@ def _load_transform_input(args):
     grid = io.grid_from_x(table["x"], kind=None if args.lower is None
                           else args.grid_kind)
     if "f" in table:
-        values = np.asarray(table["f"])
-        if not np.isfinite(values).all():
+        if not np.isfinite(table["f"]).all():
             raise io.FormatError(f"{path}: f column has non-finite values")
-        total = grid.quadrature(values)
-        if not total > 0:
-            raise io.FormatError(f"{path}: density is identically zero")
-        density = EquilibriumDensity(grid=grid, values=values / total,
-                                     omega=1.0, k=1.0)
-        return "density", density, grid
+        return "density", EquilibriumDensity.from_table(grid, table["f"]), grid
     if "U" in table:
-        from .potential import TabulatedPotential
         spec = TabulatedPotential(grid=grid, values=table["U"])
         return "potential", spec, grid
     raise io.FormatError(f"{path}: need either an f or a U column")

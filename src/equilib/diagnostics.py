@@ -177,11 +177,7 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
     else:
         raise SampleError(f"unknown estimator {estimator!r}")
 
-    total = grid.quadrature(raw)
-    if not total > 0:
-        raise SampleError("density estimate is identically zero on the grid")
-    density = EquilibriumDensity(grid=grid, values=raw / total,
-                                 omega=1.0, k=1.0)
+    density = EquilibriumDensity.from_table(grid, raw)
     upot = potential_of_density(density)
     es = stochastic_intensity(density)
     q10, q90 = np.percentile(samples[in_range], [10, 90])

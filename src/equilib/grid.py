@@ -1,12 +1,16 @@
 """1-D supports: uniform continuous grids and integer lattices.
 
-All tabulated quantities in the library live on a :class:`Grid`.  The grid
-also owns the quadrature rule used everywhere: composite trapezoid for
-continuous grids, plain summation for lattices.
+All tabulated quantities in the library live on a :class:`Grid`, and the
+grid is the only place that knows how each kind integrates and
+differentiates.  Continuous grids use trapezoid quadrature, a second-order
+difference stencil and its inverse, the cumulative trapezoid.  Lattices
+use plain summation, the forward difference v(x+1) - v(x), undefined (NaN)
+at the last point, and its inverse, the cumulative sum.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +50,10 @@ class Grid:
             raise GridError(
                 f"reversed or empty bounds: lower={self.lower}, upper={self.upper}"
             )
+        if (isinstance(self.n_points, bool)
+                or not isinstance(self.n_points, numbers.Integral)):
+            raise GridError(
+                f"n_points must be an integer, got {self.n_points!r}")
         if self.n_points < 3:
             raise GridError(f"need at least 3 points, got {self.n_points}")
         if self.kind == LATTICE:
@@ -93,6 +101,34 @@ class Grid:
             )
         return float(self.weights @ values)
 
+    def derivative(self, values: np.ndarray) -> np.ndarray:
+        """dv/dx: second order, central inside and one-sided at the ends;
+        on lattices v(x+1) - v(x), NaN at the last point."""
+        v = np.asarray(values, dtype=float)
+        if self.kind == LATTICE:
+            return np.append(v[1:] - v[:-1], np.nan)
+        d = np.empty_like(v)
+        h2 = 2.0 * self.spacing
+        d[1:-1] = (v[2:] - v[:-2]) / h2
+        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / h2
+        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / h2
+        return d
+
+    def log_derivative(self, values: np.ndarray) -> np.ndarray:
+        """d ln v / dx of positive values: v'/v; on lattices the forward
+        difference of ln v."""
+        if self.kind == LATTICE:
+            return self.derivative(np.log(values))
+        return self.derivative(values) / values
+
+    def antiderivative(self, slopes: np.ndarray) -> np.ndarray:
+        """Inverse of :meth:`derivative`, zero at the first point; on
+        lattices it never reads the undefined last slope."""
+        s = np.asarray(slopes, dtype=float)
+        steps = (s[:-1] if self.kind == LATTICE
+                 else 0.5 * self.spacing * (s[1:] + s[:-1]))
+        return np.concatenate(([0.0], np.cumsum(steps)))
+
     def same_as(self, other: "Grid") -> bool:
         return (
             self.kind == other.kind
@@ -109,4 +145,4 @@ class Grid:
 def build_grid(kind: str, lower: float, upper: float, n_points: int) -> Grid:
     """Construct a validated grid. See :class:`Grid` for the invariants."""
     return Grid(kind=kind, lower=float(lower), upper=float(upper),
-                n_points=int(n_points))
+                n_points=n_points)

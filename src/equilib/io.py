@@ -155,6 +155,8 @@ _SPEC_FIELDS = {
 
 
 def _check_fields(obj: dict, allowed: set, what: str):
+    if not isinstance(obj, dict):
+        raise FormatError(f"{what} must be a JSON object")
     unknown = set(obj) - allowed
     if unknown:
         raise FormatError(f"{what}: unknown fields {sorted(unknown)}")
@@ -185,7 +187,10 @@ def parse_grid(obj: dict) -> Grid:
 
 
 def parse_potential(obj: dict):
-    family = obj.get("family")
+    if not (isinstance(obj, dict) and isinstance(obj.get("family"), str)):
+        raise FormatError("a potential spec must be a JSON object with a "
+                          "string 'family'")
+    family = obj["family"]
     if family in FAMILIES:
         allowed = {f.name for f in fields(FAMILIES[family])}
     elif family in _SPEC_FIELDS:
@@ -225,10 +230,10 @@ def parse_sim_config(obj: dict) -> SimConfig:
             potential=parse_potential(obj["potential"]),
             grid=parse_grid(obj["grid"]),
             dt=obj["dt"],
-            n_steps=int(obj["n_steps"]),
-            burn_in=int(obj["burn_in"]),
-            n_chains=int(obj["n_chains"]),
-            seed=int(obj["seed"]),
+            n_steps=obj["n_steps"],
+            burn_in=obj["burn_in"],
+            n_chains=obj["n_chains"],
+            seed=obj["seed"],
         )
 
 

@@ -12,6 +12,11 @@ The five fundamental maps implemented here:
 plus ``equilibrium_residual``, the pointwise force-balance check
 E_s + E_c -> 0 that characterizes equilibrium pairs.
 
+Derivatives and their inverse come from the grid, so no transform
+branches on the grid kind.  On lattices the difference is forward,
+E_s(x) = -(ln f(x+1) - ln f(x)) and E_c(x) = -(U(x+1) - U(x)), masked at
+the last point, and its inverse is the cumulative sum.
+
 A "potential spec" is any object with a ``values_on(grid)`` method returning
 the tabulated potential; objects may additionally provide ``intensity_on(grid)``
 (closed-form derivative) and ``at(x)`` (pointwise evaluation off the grid).
@@ -24,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonNormalizableError, PotentialError
-from .grid import CONTINUOUS, Grid
+from .grid import Grid
 
 # Absolute and relative density floors below which logs/derivatives are
 # masked instead of returning infinities.
@@ -102,7 +107,7 @@ class EquilibriumDensity:
 
     ``omega`` is the statistical sum of the generating potential and
     ``k = 1/omega`` its normalizing constant.  Densities built directly from
-    data (histograms, closed forms) use the gauge omega = k = 1.
+    data (histograms, estimates) use the gauge omega = k = 1 (``from_table``).
     """
 
     grid: Grid
@@ -119,6 +124,16 @@ class EquilibriumDensity:
             raise NonNormalizableError(f"density quadrature is {total}, not 1")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @classmethod
+    def from_table(cls, grid: Grid, values) -> "EquilibriumDensity":
+        """Normalize a raw non-negative table, in the gauge omega = k = 1."""
+        values = np.asarray(values, dtype=float)
+        total = grid.quadrature(values)
+        if not (total > 0.0 and np.isfinite(total)):
+            raise NonNormalizableError(
+                f"table has zero or non-finite mass ({total})")
+        return cls(grid=grid, values=values / total, omega=1.0, k=1.0)
 
 
 @dataclass(frozen=True)
@@ -177,15 +192,6 @@ def density_floor(values: np.ndarray) -> float:
     return max(DENSITY_FLOOR_ABS, DENSITY_FLOOR_REL * float(np.max(values)))
 
 
-def _derivative(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order derivative: central interior, one-sided at the ends."""
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return d
-
-
 def eval_potential(U, grid: Grid) -> np.ndarray:
     """Tabulate a potential spec on a grid, checking finiteness."""
     vals = np.asarray(U.values_on(grid), dtype=float)
@@ -242,84 +248,42 @@ def potential_of_density(f: EquilibriumDensity) -> NormalizedPotentialTable:
 
 
 def stochastic_intensity(f: EquilibriumDensity) -> IntensityTable:
-    """-f'/f on continuous grids; forward log-difference on lattices."""
-    floor = density_floor(f.values)
-    low = f.values <= floor
-    n = f.grid.n_points
-    vals = np.full(n, np.nan)
-    if f.grid.kind == CONTINUOUS:
-        # mask a point if any density on its stencil is at the floor
-        mask = low.copy()
-        mask[1:-1] |= low[2:] | low[:-2]
-        mask[0] |= low[1] | low[2]
-        mask[-1] |= low[-2] | low[-3]
-        d = _derivative(f.values, f.grid.spacing)
-        ok = ~mask
-        vals[ok] = -d[ok] / f.values[ok]
-    else:
-        mask = np.ones(n, dtype=bool)
-        ok = ~(low[:-1] | low[1:])
-        mask[:-1] = ~ok
-        logf = np.full(n, np.nan)
-        logf[~low] = np.log(f.values[~low])
-        vals[:-1][ok] = -(logf[1:][ok] - logf[:-1][ok])
+    """-f'/f; masked wherever the difference rule reads a floored density."""
+    low = f.values <= density_floor(f.values)
+    vals = -f.grid.log_derivative(np.where(low, np.nan, f.values))
     return IntensityTable(grid=f.grid, values=vals, kind="stochastic",
-                          mask=mask)
+                          mask=np.isnan(vals))
 
 
 def causal_intensity(U, grid: Grid) -> IntensityTable:
-    """-dU/dx: closed form when the potential provides one, else differences.
-
-    On lattices the tabulated fallback is the forward difference
-    -(U(x+1) - U(x)), the exact discrete analogue used throughout.
-    """
+    """-dU/dx: closed form when the potential provides one, else the grid's
+    difference rule; masked where it is not finite."""
     if hasattr(U, "intensity_on"):
         vals = np.asarray(U.intensity_on(grid), dtype=float)
-        mask = ~np.isfinite(vals)
-        vals = np.where(mask, np.nan, vals)
-        return IntensityTable(grid=grid, values=vals, kind="causal", mask=mask)
-    uvals = eval_potential(U, grid)
-    n = grid.n_points
-    if grid.kind == CONTINUOUS:
-        vals = -_derivative(uvals, grid.spacing)
-        mask = ~np.isfinite(vals)
     else:
-        vals = np.full(n, np.nan)
-        vals[:-1] = -(uvals[1:] - uvals[:-1])
-        mask = np.zeros(n, dtype=bool)
-        mask[-1] = True
-    return IntensityTable(grid=grid, values=vals, kind="causal", mask=mask)
+        vals = -grid.derivative(eval_potential(U, grid))
+    mask = ~np.isfinite(vals)
+    return IntensityTable(grid=grid, values=np.where(mask, np.nan, vals),
+                          kind="causal", mask=mask)
 
 
 def density_from_intensity(E: IntensityTable) -> EquilibriumDensity:
     """Density e^(int E dx + c); c is absorbed by normalization.
 
-    Continuous grids integrate E by cumulative trapezoid; lattices use
-    cumulative sums of E as log-pmf increments.
+    ln f is the grid's antiderivative of E_c = -E_s; every point that it
+    reads must be unmasked and finite.
     """
-    if np.any(E.mask) or not np.all(np.isfinite(E.values)):
+    slopes = E.values if E.kind == "causal" else -E.values
+    log_f = E.grid.antiderivative(np.where(E.mask, np.nan, slopes))
+    if not np.all(np.isfinite(log_f)):
         raise PotentialError("intensity has masked or non-finite points")
-    grid = E.grid
-    # causal convention: log f = int E dx.  A stochastic table carries the
-    # opposite sign (E_s = -f'/f), so flip it before integrating.
-    values = E.values if E.kind == "causal" else -E.values
-    if grid.kind == CONTINUOUS:
-        h = grid.spacing
-        increments = 0.5 * h * (values[1:] + values[:-1])
-        integral = np.concatenate(([0.0], np.cumsum(increments)))
-    else:
-        integral = -np.concatenate(([0.0], np.cumsum(values[:-1])))
-    # log f = integral + c  =>  U = -integral up to a constant
-    return normalize(TabulatedPotential(grid=grid, values=-integral), grid)
+    return normalize(TabulatedPotential(grid=E.grid, values=-log_f), E.grid)
 
 
 def equilibrium_residual(f: EquilibriumDensity, U) -> ResidualReport:
-    """Pointwise E_s + E_c; zero (to truncation error) at equilibrium."""
-    es = stochastic_intensity(f)
-    ec = causal_intensity(U, f.grid)
-    mask = es.mask | ec.mask
-    table = np.full(f.grid.n_points, np.nan)
-    ok = ~mask
-    table[ok] = es.values[ok] + ec.values[ok]
-    max_abs = float(np.max(np.abs(table[ok]))) if ok.any() else np.nan
+    """Pointwise E_s + E_c, NaN where either intensity is masked; zero (to
+    truncation error) at equilibrium."""
+    table = stochastic_intensity(f).values + causal_intensity(U, f.grid).values
+    mask = np.isnan(table)
+    max_abs = float(np.max(np.abs(table[~mask]))) if not mask.all() else np.nan
     return ResidualReport(max_abs=max_abs, table=table, mask=mask)

@@ -10,6 +10,7 @@ noise from per-chain Philox streams derived deterministically from
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,12 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_steps", "burn_in", "n_chains", "seed"):
+            value = getattr(self, name)
+            if (isinstance(value, bool)
+                    or not isinstance(value, numbers.Integral)):
+                raise StabilityError(
+                    f"{name} must be an integer, got {value!r}")
         if not self.dt > 0:
             raise StabilityError("dt must be positive")
         if self.n_steps < 1 or self.n_chains < 1:
@@ -110,10 +117,8 @@ def simulate(config: SimConfig) -> SimResult:
     counts = np.zeros(grid.n_points, dtype=np.int64)
     for c in range(config.n_chains):
         counts += np.histogram(positions[c], bins=edges)[0]
-    values = counts / (counts.sum() * grid.weights)
-    total = grid.quadrature(values)
-    hist = EquilibriumDensity(grid=grid, values=values / total,
-                              omega=1.0, k=1.0)
+    hist = EquilibriumDensity.from_table(
+        grid, counts / (counts.sum() * grid.weights))
 
     return SimResult(
         histogram=hist,

@@ -270,6 +270,26 @@ def test_transform_non_finite_table_exits_2(tmp_path, capsys, body, message):
     assert message in err and err.count("\n") == 1
 
 
+def test_transform_zero_mass_table_exits_3(tmp_path, capsys):
+    src = tmp_path / "f.csv"
+    src.write_text("x,f\n0,0\n1,0\n2,0\n3,0\n")
+    out = tmp_path / "u.csv"
+    assert run("transform", "--in", src, "--to", "potential",
+               "--out", out) == 3
+    err = capsys.readouterr().err
+    assert "zero or non-finite mass" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_transform_non_string_family_exits_2(tmp_path, capsys):
+    path = write_json(tmp_path / "p.json",
+                      {"kind": "potential", "family": ["normal"]})
+    assert run("transform", "--in", path, "--to", "density",
+               "--out", tmp_path / "f.csv") == 2
+    err = capsys.readouterr().err
+    assert "string 'family'" in err and err.count("\n") == 1
+
+
 def test_transform_pearson_paper_sign_exits_3(tmp_path):
     spec = write_json(tmp_path / "pearson.json",
                       {"kind": "potential", "family": "pearson", "a": 0.0,
@@ -379,7 +399,34 @@ def test_simulate_non_numeric_field_exits_2(tmp_path, capsys, change):
     assert run("simulate", "--config", path, "--out",
                tmp_path / "res.json") == 2
     err = capsys.readouterr().err
-    assert "bad field value" in err and err.count("\n") == 1
+    # SimConfig and Grid check their counts as integers themselves
+    expected = "bad field value" if "dt" in change else "must be an integer"
+    assert expected in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["potential", "grid"])
+def test_simulate_non_object_spec_exits_2(tmp_path, capsys, field):
+    path = write_json(tmp_path / "cfg.json", dict(SIM_CONFIG, **{field: 5}))
+    assert run("simulate", "--config", path, "--out",
+               tmp_path / "res.json") == 2
+    err = capsys.readouterr().err
+    assert "must be a JSON object" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("change", [
+    {"n_chains": 2.5},
+    {"n_steps": 100.9},
+    {"grid": dict(SIM_CONFIG["grid"], n_points=11.7)},
+    {"seed": 1.5},
+    {"burn_in": True},
+], ids=["n_chains", "n_steps", "n_points", "seed", "burn_in"])
+def test_simulate_non_integer_count_exits_2(tmp_path, capsys, change):
+    out = tmp_path / "res.json"
+    path = write_json(tmp_path / "cfg.json", dict(SIM_CONFIG, **change))
+    assert run("simulate", "--config", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "must be an integer" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 def test_simulate_unknown_field_exits_2(tmp_path):

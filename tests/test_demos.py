@@ -1,4 +1,4 @@
-"""The demos only use names the package exports, and demo 01 runs."""
+"""The demos only use names the package exports, and demos 01 and 02 run."""
 
 import ast
 import importlib
@@ -33,8 +33,18 @@ def test_demo_imports_exist(path):
             f"{path.name}: {module} has no {name}"
 
 
-def test_catalog_demo_runs(capsys):
-    demo = DEMOS[0].with_name("01_catalog_families.py")
-    runpy.run_path(str(demo), run_name="__main__")
+# the demos that run in the suite, each with text its output must contain
+DEMO_OUTPUT = {
+    "01_catalog_families.py": ["standard normal", "max|U_tilde + ln f|"],
+    "02_roundtrip_transforms.py": [
+        "Poisson lattice causal round trip: mode at x = 2,",
+        "Poisson lattice stochastic round trip: mode at x = 2,"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_OUTPUT))
+def test_demo_runs(capsys, name):
+    runpy.run_path(str(DEMOS[0].with_name(name)), run_name="__main__")
     out = capsys.readouterr().out
-    assert "standard normal" in out and "max|U_tilde + ln f|" in out
+    for text in DEMO_OUTPUT[name]:
+        assert text in out

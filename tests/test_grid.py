@@ -48,3 +48,9 @@ def test_trapezoid_quadrature_exact_for_linear():
 def test_lattice_quadrature_is_sum():
     g = build_grid("lattice", 1, 4, 4)
     assert g.quadrature(np.ones(4)) == 4.0
+
+
+@pytest.mark.parametrize("n_points", [11.7, 11.0, True, "11"])
+def test_non_integer_point_count_rejected(n_points):
+    with pytest.raises(GridError, match="n_points must be an integer"):
+        build_grid("continuous", 0, 1, n_points)

@@ -125,7 +125,7 @@ SIM = {"kind": "sim_config", "potential": {"family": "normal"},
 
 @pytest.mark.parametrize("change, message", [
     ({"dt": "a"}, "sim_config: bad field value"),
-    ({"seed": [1]}, "sim_config: bad field value"),
+    ({"dt": [1]}, "sim_config: bad field value"),
     ({"grid": dict(SIM["grid"], lower="a")}, "grid spec: bad field value"),
     ({"potential": {"family": "normal", "mu": "a"}}, "mu must be"),
 ])

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equilib import (AnalyticPotential, EquilibriumDensity, Exponential,
-                     IntensityTable, Normal, PotentialError,
+                     IntensityTable, Normal, Poisson, PotentialError,
                      TabulatedPotential, build_grid, causal_intensity,
                      density_from_intensity, equilibrium_residual,
                      eval_potential, normalize, normalized_potential,
@@ -318,3 +318,88 @@ def test_monotone_consistency():
     pos[0] = pos[-1] = False
     slope = np.gradient(np.log(np.maximum(f.values, 1e-300)), g.spacing)
     assert np.all(slope[pos] < 0)
+
+
+# ---------------------------------------------------------------------------
+# round trips on both grid kinds (property-based)
+
+LATTICE_TOL = 1e-12
+
+
+def _poisson_lattice():
+    g = build_grid("lattice", 0, 15, 16)
+    return g, TabulatedPotential(grid=g, values=Poisson(3.0).potential(g.points))
+
+
+def test_poisson_lattice_causal_table_roundtrips():
+    g, U = _poisson_lattice()
+    back = density_from_intensity(causal_intensity(U, g))
+    assert np.max(np.abs(back.values - normalize(U, g).values)) <= LATTICE_TOL
+    assert np.argmax(back.values) == 2
+
+
+def test_poisson_lattice_stochastic_table_roundtrips():
+    g, U = _poisson_lattice()
+    f = normalize(U, g)
+    back = density_from_intensity(stochastic_intensity(f))
+    assert np.max(np.abs(back.values - f.values)) <= LATTICE_TOL
+    assert np.argmax(back.values) == 2
+
+
+@pytest.mark.parametrize("masked, accepted", [(2, False), (5, True)])
+def test_lattice_intensity_may_mask_only_the_last_point(masked, accepted):
+    g = build_grid("lattice", 0, 5, 6)
+    e = IntensityTable(grid=g, values=np.zeros(6), kind="causal",
+                       mask=np.arange(6) == masked)
+    if accepted:
+        assert np.allclose(density_from_intensity(e).values, 1.0 / 6.0,
+                           atol=1e-15)
+    else:
+        with pytest.raises(PotentialError):
+            density_from_intensity(e)
+
+
+# U spans at most 20, so e^(-U) stays far above the relative density floor
+# 1e-12 and no point of normalize(U) is masked
+lattice_potentials = st.builds(
+    lambda lower, values: TabulatedPotential(
+        grid=build_grid("lattice", lower, lower + len(values) - 1,
+                        len(values)),
+        values=np.array(values)),
+    st.integers(min_value=-50, max_value=50),
+    st.lists(st.floats(min_value=-10.0, max_value=10.0), min_size=3,
+             max_size=60))
+
+
+@given(U=lattice_potentials)
+@settings(max_examples=60, deadline=None)
+def test_lattice_transforms_roundtrip(U):
+    g = U.grid
+    f = normalize(U, g)
+    for table in (causal_intensity(U, g), stochastic_intensity(f)):
+        assert table.mask.tolist() == [False] * (g.n_points - 1) + [True]
+        back = density_from_intensity(table)
+        assert np.max(np.abs(back.values - f.values)) <= LATTICE_TOL
+    assert equilibrium_residual(f, U).max_abs <= LATTICE_TOL
+
+
+# U = a cos(b x + c) + x^2 / 4 on [-3, 3]: |U'''| <= |a| b^3 <= 16 and U
+# spans less than 7, so no point is floored
+@given(a=st.floats(min_value=-2.0, max_value=2.0),
+       b=st.floats(min_value=0.2, max_value=2.0),
+       c=st.floats(min_value=0.0, max_value=2.0 * np.pi),
+       n=st.integers(min_value=101, max_value=1201))
+@settings(max_examples=40, deadline=None)
+def test_continuous_transforms_roundtrip_to_second_order(a, b, c, n):
+    g = build_grid("continuous", -3.0, 3.0, n)
+    x = g.points
+    U = TabulatedPotential(grid=g, values=a * np.cos(b * x + c) + x * x / 4)
+    f = normalize(U, g)
+    # the stencil errs by h^2 |U'''| / 6 and the trapezoid by h^2 |U'''| / 12;
+    # over a width of 6 that moves ln f by at most 24 h^2, and normalization
+    # can double the resulting density error
+    bound = 48.0 * g.spacing ** 2 * np.max(f.values)
+    for table in (causal_intensity(U, g), stochastic_intensity(f)):
+        assert not table.mask.any()
+        back = density_from_intensity(table)
+        assert np.max(np.abs(back.values - f.values)) <= bound
