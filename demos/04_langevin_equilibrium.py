@@ -6,11 +6,10 @@ histogramming the visited states should reproduce the quadrature density
 up to Monte Carlo noise, measured in total variation distance.
 """
 
-from equilib import (AnalyticPotential, Normal, SimConfig, build_grid,
-                     simulate)
+from equilib import Normal, SimConfig, build_grid, simulate
 
 grid = build_grid("continuous", -6.0, 6.0, 49)
-potential = AnalyticPotential(Normal(0.0, 1.0))
+potential = Normal(0.0, 1.0)
 
 print("harmonic potential, 8 chains, seed 42")
 for n_steps in (12_500, 50_000, 200_000):

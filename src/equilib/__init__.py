@@ -1,9 +1,9 @@
 """Potentials, equilibrium densities and intensities on 1-D grids."""
 
-from .catalog import (FAMILIES, AnalyticPotential, Exponential, Gamma,
-                      LinearConstant, Normal, PearsonParams, PearsonPotential,
-                      Poisson, UniformLattice, catalog_equilibrium,
-                      make_family, pearson_density, pearson_intensity)
+from .catalog import (FAMILIES, Exponential, Gamma, LinearConstant, Normal,
+                      PearsonParams, PearsonPotential, Poisson, UniformLattice,
+                      catalog_equilibrium, make_family, pearson_density,
+                      pearson_intensity)
 from .diagnostics import (DecompositionReport, decompose_samples,
                           fisher_information_number, fit_linear_intensity,
                           shannon_entropy)

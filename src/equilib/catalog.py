@@ -11,7 +11,9 @@ numbers.  Each family exposes
 * ``default_grid()``           a support truncated so that the lost tail
                                mass is below 1e-10
 
-together with the Pearson-system generator, whose density is the
+and is itself a potential spec (``values_on``, ``intensity_on`` and ``at``
+over ``potential`` and ``intensity``), so it goes to the transforms as is.
+The module also holds the Pearson-system generator, whose density is the
 normalized integral of its causal intensity on a grid.
 """
 
@@ -52,6 +54,17 @@ class _Family:
 
     def density(self, x):
         return np.exp(-self.normalized_potential(x))
+
+    # the potential-spec protocol over the closed forms
+
+    def values_on(self, grid: Grid):
+        return self.potential(grid.points)
+
+    def intensity_on(self, grid: Grid):
+        return self.intensity(grid.points)
+
+    def at(self, x):
+        return self.potential(x)
 
     def _check(self, x):
         """x as floats, on the support x >= 0 unless a family narrows it."""
@@ -288,26 +301,6 @@ def make_family(name: str, params: dict) -> _Family:
 
 
 # ---------------------------------------------------------------------------
-# Potential-spec adapters
-
-
-@dataclass(frozen=True)
-class AnalyticPotential:
-    """Potential spec backed by a catalog family's closed forms."""
-
-    family: _Family
-
-    def values_on(self, grid: Grid):
-        return self.family.potential(grid.points)
-
-    def intensity_on(self, grid: Grid):
-        return self.family.intensity(grid.points)
-
-    def at(self, x):
-        return self.family.potential(x)
-
-
-# ---------------------------------------------------------------------------
 # Pearson system
 
 
@@ -398,4 +391,4 @@ def catalog_equilibrium(family: _Family,
     """Numeric equilibrium density of the family's potential on a grid."""
     if grid is None:
         grid = family.default_grid()
-    return normalize(AnalyticPotential(family), grid)
+    return normalize(family, grid)

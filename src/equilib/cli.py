@@ -16,7 +16,7 @@ from dataclasses import fields
 import numpy as np
 
 from . import io
-from .catalog import FAMILIES, make_family
+from .catalog import FAMILIES, _Family, make_family
 from .diagnostics import decompose_samples, fit_linear_intensity
 from .errors import (EquilibError, MomentRangeError, NonNormalizableError)
 from .grid import Grid, build_grid
@@ -80,13 +80,12 @@ def _load_transform_input(args):
             raise io.FormatError(f"{path}: expected a potential spec")
         spec = io.parse_potential(obj)
         grid = _grid_from_args(args)
-        if grid is None:
-            grid = getattr(spec, "grid", None)
-        if grid is None:
-            family = getattr(spec, "family", None)
-            if family is None:
-                raise io.FormatError("this potential needs explicit grid args")
-            grid = family.default_grid()
+        if grid is None and isinstance(spec, TabulatedPotential):
+            grid = spec.grid
+        elif grid is None and isinstance(spec, _Family):
+            grid = spec.default_grid()
+        elif grid is None:
+            raise io.FormatError("this potential needs explicit grid args")
         return "potential", spec, grid
     table = io.read_table(path)
     if "x" not in table:

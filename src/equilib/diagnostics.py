@@ -19,6 +19,7 @@ sum by O((h / bandwidth)^2) for spacing h.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,6 +165,9 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
     if estimator == "histogram":
         if bins is None:
             bins = max(10, int(round(np.sqrt(samples.size))))
+        if (isinstance(bins, bool) or not isinstance(bins, numbers.Integral)
+                or bins < 1):
+            raise SampleError(f"bins must be a positive integer, got {bins!r}")
         raw = _histogram_density(samples[in_range], grid, bins)
         label = f"histogram(bins={bins})"
     elif estimator == "kernel":

@@ -3,9 +3,11 @@
 Tables are comma-separated with a mandatory header naming columns from
 TABLE_COLUMNS, LF line endings (CRLF is read too) and floats printed with
 17 significant digits so that 64-bit values round-trip exactly.  Reading
-needs one unquoted number per column on every non-empty line, at least one
-row and, if there is an x column, a finite, strictly increasing x; anything
-else is a FormatError.
+needs distinct column names, one unquoted number per column on every
+non-empty line, at least one row and, if there is an x column, a finite x;
+anything else is a FormatError.  A grid built from an x column
+(``grid_from_x``) also needs x strictly increasing; a samples file may
+come in any order.
 
 Specs are JSON documents tagged by a top-level "kind"; unknown fields are
 rejected.
@@ -23,8 +25,7 @@ from itertools import chain
 
 import numpy as np
 
-from .catalog import (FAMILIES, AnalyticPotential, PearsonParams,
-                      PearsonPotential, make_family)
+from .catalog import FAMILIES, PearsonParams, PearsonPotential, make_family
 from .errors import EquilibError, FormatError
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .potential import PolynomialPotential, TabulatedPotential
@@ -66,6 +67,8 @@ def read_table(path) -> dict:
     for name in names:
         if name not in TABLE_COLUMNS:
             raise FormatError(f"{path}: unknown column {name!r}")
+    if len(set(names)) != len(names):
+        raise FormatError(f"{path}: repeated column name in {header!r}")
     # loadtxt only warns on a body without data; reject it here instead
     if not body.strip():
         raise FormatError(f"{path}: table has no rows")
@@ -77,30 +80,29 @@ def read_table(path) -> dict:
     if data.shape[1] != len(names):
         raise FormatError(f"{path}: ragged rows")
     out = {name: data[:, j] for j, name in enumerate(names)}
-    if "x" in out:
-        x = out["x"]
-        if not np.isfinite(x).all():
-            raise FormatError(f"{path}: x column has non-finite values")
-        if np.any(np.diff(x) <= 0):
-            raise FormatError(f"{path}: x column is not strictly increasing")
+    if "x" in out and not np.isfinite(out["x"]).all():
+        raise FormatError(f"{path}: x column has non-finite values")
     return out
 
 
 def grid_from_x(x: np.ndarray, kind: str | None = None) -> Grid:
     """Reconstruct the grid from a table's x column.
 
+    The x column must be strictly increasing (a samples file need not be).
     Consecutive integers are read as a lattice unless a kind is forced.
     """
     x = np.asarray(x, dtype=float)
     if x.size < 3:
         raise FormatError(f"a table needs at least 3 rows, got {x.size}")
+    spacing = np.diff(x)
+    if np.any(spacing <= 0):
+        raise FormatError("x column is not strictly increasing")
     if kind is None:
-        integral = np.all(x == np.round(x)) and np.all(np.diff(x) == 1.0)
+        integral = np.all(x == np.round(x)) and np.all(spacing == 1.0)
         kind = LATTICE if integral else CONTINUOUS
-    if kind == CONTINUOUS:
-        spacing = np.diff(x)
-        if np.max(np.abs(spacing - spacing[0])) > 1e-9 * abs(spacing[0]):
-            raise FormatError("x column is not uniformly spaced")
+    if (kind == CONTINUOUS
+            and np.max(np.abs(spacing - spacing[0])) > 1e-9 * spacing[0]):
+        raise FormatError("x column is not uniformly spaced")
     return build_grid(kind, x[0], x[-1], x.size)
 
 
@@ -123,8 +125,9 @@ def parse_polynomial(text: str) -> PolynomialPotential:
         raise FormatError("empty potential expression")
     while pos < len(text):
         m = _TERM.match(text, pos)
-        if m is None or m.end() == pos or (m.group(2) is None
-                                           and m.group(3) is None):
+        # every term after the first needs its sign: "x2" is not x + 2
+        if (m is None or m.end() == pos or (pos > 0 and not m.group(1))
+                or (m.group(2) is None and m.group(3) is None)):
             raise FormatError(f"cannot parse potential expression {text!r}")
         sign = -1.0 if m.group(1) == "-" else 1.0
         coef = float(m.group(2)) if m.group(2) is not None else 1.0
@@ -201,8 +204,8 @@ def parse_potential(obj: dict):
     _check_fields(obj, allowed | {"kind", "family"}, what)
     with _spec_errors(what):
         if family in FAMILIES:
-            return AnalyticPotential(make_family(
-                family, {k: obj[k] for k in allowed if k in obj}))
+            return make_family(family,
+                               {k: obj[k] for k in allowed if k in obj})
         if family == "pearson":
             return PearsonPotential(PearsonParams(
                 a=obj["a"], b0=obj["b0"], b1=obj["b1"], b2=obj["b2"],

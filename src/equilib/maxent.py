@@ -9,11 +9,13 @@ bisection on a bracket grown by doubling when Newton stalls.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import MomentRangeError, SampleError
+from .errors import FormatError, MomentRangeError, SampleError
 from .grid import Grid
 from .potential import (EquilibriumDensity, NormalizedPotentialTable,
                         TabulatedPotential, eval_potential, normalize,
@@ -32,10 +34,18 @@ class MaxEntProblem:
     max_iter: int = 100
 
     def __post_init__(self):
+        for name in ("target_moment", "lambda_init", "tol"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not math.isfinite(value)):
+                raise FormatError(f"{name} must be finite, got {value!r}")
         if not self.tol > 0:
-            raise MomentRangeError("tol must be positive")
-        if self.max_iter < 1:
-            raise MomentRangeError("max_iter must be at least 1")
+            raise FormatError(f"tol must be positive, got {self.tol!r}")
+        if (isinstance(self.max_iter, bool)
+                or not isinstance(self.max_iter, numbers.Integral)
+                or self.max_iter < 1):
+            raise FormatError(
+                f"max_iter must be an integer >= 1, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)

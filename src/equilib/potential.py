@@ -17,9 +17,16 @@ branches on the grid kind.  On lattices the difference is forward,
 E_s(x) = -(ln f(x+1) - ln f(x)) and E_c(x) = -(U(x+1) - U(x)), masked at
 the last point, and its inverse is the cumulative sum.
 
+Every table (potential, density, normalized potential, intensity) is a
+frozen copy of its values on a grid.  NaN marks a masked point, where a
+transform has no defined value; a table's ``mask`` is derived from its
+values as ``isnan(values)`` and is never stored apart from them.
+
 A "potential spec" is any object with a ``values_on(grid)`` method returning
 the tabulated potential; objects may additionally provide ``intensity_on(grid)``
 (closed-form derivative) and ``at(x)`` (pointwise evaluation off the grid).
+``TabulatedPotential``, ``PolynomialPotential``, ``PearsonPotential`` and
+the catalog families themselves are potential specs.
 """
 
 from __future__ import annotations
@@ -38,26 +45,39 @@ DENSITY_FLOOR_REL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Potential specs
+# Tables
 
 
 @dataclass(frozen=True)
-class TabulatedPotential:
-    """Potential given by its values on a fixed grid."""
+class _Table:
+    """Values on a grid, copied and frozen; NaN marks a masked point."""
 
     grid: Grid
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        vals = np.array(self.values, dtype=float)
         if vals.shape != (self.grid.n_points,):
             raise PotentialError(
                 f"expected {self.grid.n_points} values, got shape {vals.shape}"
             )
-        if not np.all(np.isfinite(vals)):
-            raise PotentialError("tabulated potential has non-finite values")
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
+
+    @property
+    def mask(self) -> np.ndarray:
+        """True where the value is masked (NaN)."""
+        return np.isnan(self.values)
+
+
+@dataclass(frozen=True)
+class TabulatedPotential(_Table):
+    """Potential spec given by its finite values on a fixed grid."""
+
+    def __post_init__(self):
+        super().__post_init__()
+        if not np.all(np.isfinite(self.values)):
+            raise PotentialError("tabulated potential has non-finite values")
 
     def values_on(self, grid: Grid) -> np.ndarray:
         self.grid.require_same(grid, "tabulated potential and target grid")
@@ -93,16 +113,9 @@ class PolynomialPotential:
         dcoeffs = np.polynomial.polynomial.polyder(self.coeffs)
         return -np.polynomial.polynomial.polyval(grid.points, dcoeffs)
 
-    def scaled(self, factor: float) -> "PolynomialPotential":
-        return PolynomialPotential(tuple(factor * c for c in self.coeffs))
-
-
-# ---------------------------------------------------------------------------
-# Tabulated results
-
 
 @dataclass(frozen=True)
-class EquilibriumDensity:
+class EquilibriumDensity(_Table):
     """Normalized density (continuous) or pmf (lattice) on a grid.
 
     ``omega`` is the statistical sum of the generating potential and
@@ -110,20 +123,17 @@ class EquilibriumDensity:
     data (histograms, estimates) use the gauge omega = k = 1 (``from_table``).
     """
 
-    grid: Grid
-    values: np.ndarray
     omega: float
     k: float
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
+        super().__post_init__()
+        vals = self.values
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise NonNormalizableError("density values must be finite and >= 0")
         total = self.grid.quadrature(vals)
         if abs(total - 1.0) > 1e-9:
             raise NonNormalizableError(f"density quadrature is {total}, not 1")
-        vals.setflags(write=False)
-        object.__setattr__(self, "values", vals)
 
     @classmethod
     def from_table(cls, grid: Grid, values) -> "EquilibriumDensity":
@@ -137,42 +147,20 @@ class EquilibriumDensity:
 
 
 @dataclass(frozen=True)
-class NormalizedPotentialTable:
-    """Tabulated normalized potential; masked points carry NaN values."""
-
-    grid: Grid
-    values: np.ndarray
-    mask: np.ndarray = None  # True where the value is undefined
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        mask = (np.zeros(self.grid.n_points, dtype=bool) if self.mask is None
-                else np.asarray(self.mask, dtype=bool))
-        vals.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mask", mask)
+class NormalizedPotentialTable(_Table):
+    """Tabulated normalized potential U_tilde = -ln f."""
 
 
 @dataclass(frozen=True)
-class IntensityTable:
+class IntensityTable(_Table):
     """Signed field values on a grid; kind is 'stochastic' or 'causal'."""
 
-    grid: Grid
-    values: np.ndarray
     kind: str
-    mask: np.ndarray = None
 
     def __post_init__(self):
+        super().__post_init__()
         if self.kind not in ("stochastic", "causal"):
             raise PotentialError(f"unknown intensity kind {self.kind!r}")
-        vals = np.asarray(self.values, dtype=float)
-        mask = (np.zeros(self.grid.n_points, dtype=bool) if self.mask is None
-                else np.asarray(self.mask, dtype=bool))
-        vals.setflags(write=False)
-        mask.setflags(write=False)
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "mask", mask)
 
 
 @dataclass(frozen=True)
@@ -239,20 +227,18 @@ def normalized_potential(U, grid: Grid) -> NormalizedPotentialTable:
 
 
 def potential_of_density(f: EquilibriumDensity) -> NormalizedPotentialTable:
-    """-ln f pointwise; points below the density floor are masked."""
-    floor = density_floor(f.values)
-    mask = f.values <= floor
+    """-ln f pointwise; NaN (masked) below the density floor."""
+    ok = f.values > density_floor(f.values)
     vals = np.full(f.grid.n_points, np.nan)
-    vals[~mask] = -np.log(f.values[~mask])
-    return NormalizedPotentialTable(grid=f.grid, values=vals, mask=mask)
+    vals[ok] = -np.log(f.values[ok])
+    return NormalizedPotentialTable(grid=f.grid, values=vals)
 
 
 def stochastic_intensity(f: EquilibriumDensity) -> IntensityTable:
     """-f'/f; masked wherever the difference rule reads a floored density."""
     low = f.values <= density_floor(f.values)
     vals = -f.grid.log_derivative(np.where(low, np.nan, f.values))
-    return IntensityTable(grid=f.grid, values=vals, kind="stochastic",
-                          mask=np.isnan(vals))
+    return IntensityTable(grid=f.grid, values=vals, kind="stochastic")
 
 
 def causal_intensity(U, grid: Grid) -> IntensityTable:
@@ -262,9 +248,8 @@ def causal_intensity(U, grid: Grid) -> IntensityTable:
         vals = np.asarray(U.intensity_on(grid), dtype=float)
     else:
         vals = -grid.derivative(eval_potential(U, grid))
-    mask = ~np.isfinite(vals)
-    return IntensityTable(grid=grid, values=np.where(mask, np.nan, vals),
-                          kind="causal", mask=mask)
+    return IntensityTable(grid=grid, kind="causal",
+                          values=np.where(np.isfinite(vals), vals, np.nan))
 
 
 def density_from_intensity(E: IntensityTable) -> EquilibriumDensity:
@@ -274,7 +259,7 @@ def density_from_intensity(E: IntensityTable) -> EquilibriumDensity:
     reads must be unmasked and finite.
     """
     slopes = E.values if E.kind == "causal" else -E.values
-    log_f = E.grid.antiderivative(np.where(E.mask, np.nan, slopes))
+    log_f = E.grid.antiderivative(slopes)
     if not np.all(np.isfinite(log_f)):
         raise PotentialError("intensity has masked or non-finite points")
     return normalize(TabulatedPotential(grid=E.grid, values=-log_f), E.grid)

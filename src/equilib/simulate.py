@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .catalog import _Family
 from .errors import GridError, StabilityError
 from .grid import CONTINUOUS, Grid
 from .potential import EquilibriumDensity, causal_intensity, normalize
@@ -94,8 +95,8 @@ def simulate(config: SimConfig) -> SimResult:
         )
 
     # closed-form drift for catalog families, else interpolate the table
-    family = getattr(config.potential, "family", None)
-    drift = (family.intensity if family is not None
+    drift = (config.potential.intensity
+             if isinstance(config.potential, _Family)
              else lambda x: np.interp(x, grid.points, ec.values))
 
     rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]

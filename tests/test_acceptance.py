@@ -10,14 +10,14 @@ import time
 
 import numpy as np
 
-from equilib import (AnalyticPotential, Exponential, Gamma, LinearConstant,
-                     MaxEntProblem, MomentRangeError, Normal, PearsonParams,
-                     Poisson, PolynomialPotential, SimConfig,
-                     TabulatedPotential, UniformLattice, build_grid,
-                     catalog_equilibrium, cli, decompose_samples,
-                     equilibrium_residual, fisher_information_number,
-                     fit_linear_intensity, io, normalize, pearson_density,
-                     shannon_entropy, simulate, solve_maxent)
+from equilib import (Exponential, Gamma, LinearConstant, MaxEntProblem,
+                     MomentRangeError, Normal, PearsonParams, Poisson,
+                     PolynomialPotential, SimConfig, TabulatedPotential,
+                     UniformLattice, build_grid, catalog_equilibrium, cli,
+                     decompose_samples, equilibrium_residual,
+                     fisher_information_number, fit_linear_intensity, io,
+                     normalize, pearson_density, shannon_entropy, simulate,
+                     solve_maxent)
 
 X = PolynomialPotential((0.0, 1.0))
 X2 = PolynomialPotential((0.0, 0.0, 1.0))
@@ -70,8 +70,7 @@ def test_equilibrium_residual_order():
         maxima = []
         for n in (3001, 6001):  # spacing 4e-3 then 2e-3
             grid = build_grid("continuous", lo, hi, n)
-            rep = equilibrium_residual(catalog_equilibrium(fam, grid),
-                                       AnalyticPotential(fam))
+            rep = equilibrium_residual(catalog_equilibrium(fam, grid), fam)
             interior = ~rep.mask
             interior[0] = interior[-1] = False
             maxima.append(float(np.max(np.abs(rep.table[interior]))))
@@ -176,7 +175,7 @@ def test_fisher_identity():
 def test_simulation_equilibrium():
     start = time.perf_counter()
     hgrid = build_grid("continuous", -6, 6, 49)
-    harmonic = SimConfig(potential=AnalyticPotential(Normal()), grid=hgrid,
+    harmonic = SimConfig(potential=Normal(), grid=hgrid,
                          dt=5e-3, n_steps=200_000, burn_in=20_000,
                          n_chains=8, seed=42)
     ugrid = build_grid("continuous", 0, 1, 21)

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from equilib import (AnalyticPotential, Exponential, Gamma, IntensityTable,
-                     LinearConstant, NonNormalizableError, Normal,
-                     PearsonParams, Poisson, PotentialError, SupportError,
-                     UniformLattice, build_grid, catalog_equilibrium,
-                     density_from_intensity, normalize, pearson_density,
-                     pearson_intensity, stochastic_intensity)
+from equilib import (Exponential, Gamma, IntensityTable, LinearConstant,
+                     NonNormalizableError, Normal, PearsonParams, Poisson,
+                     PotentialError, SupportError, UniformLattice, build_grid,
+                     catalog_equilibrium, density_from_intensity, normalize,
+                     pearson_density, pearson_intensity, stochastic_intensity)
 from equilib.catalog import FAMILIES, make_family
 from equilib.errors import FormatError
 

@@ -126,19 +126,19 @@ def test_catalog_and_json_specs_build_the_same_family(tmp_path, monkeypatch,
     params = FAMILY_PARAMS[family]
     from_cli = _cli_family(tmp_path, monkeypatch, family, params)
     spec = io.parse_potential(dict(params, kind="potential", family=family))
-    assert from_cli == spec.family == FAMILIES[family](**params)
+    assert from_cli == spec == FAMILIES[family](**params)
     assert type(from_cli) is FAMILIES[family]
 
 
 def test_catalog_and_json_normal_defaults_agree(tmp_path, monkeypatch):
     from_cli = _cli_family(tmp_path, monkeypatch, "normal", {})
-    assert from_cli == io.parse_potential({"family": "normal"}).family \
+    assert from_cli == io.parse_potential({"family": "normal"}) \
         == Normal(0.0, 1.0)
 
 
 def test_uniform_lattice_n_from_cli_and_json(tmp_path, monkeypatch):
     from_cli = _cli_family(tmp_path, monkeypatch, "uniform", {"n": 8})
-    assert from_cli == io.parse_potential({"family": "uniform", "n": 8}).family
+    assert from_cli == io.parse_potential({"family": "uniform", "n": 8})
 
 
 @pytest.mark.parametrize("n", [2.5, "8"])
@@ -340,6 +340,40 @@ def test_maxent_infeasible_exits_3(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_maxent_samples_in_any_order(tmp_path):
+    samples = np.random.default_rng(5).standard_normal(500)
+    outputs = []
+    for name, x in (("sorted", np.sort(samples)), ("shuffled", samples)):
+        path = tmp_path / f"{name}.csv"
+        io.write_table(path, {"x": x})
+        out = tmp_path / f"{name}.json"
+        assert run("maxent", "--u", "x^2", "--samples", path,
+                   "--lower", -8, "--upper", 8, "--points", 1601,
+                   "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("flags", [
+    ("--moment", "0.5", "--tol", "nan"),
+    ("--moment", "0.5", "--tol", "-1"),
+    ("--moment", "0.5", "--tol", "0"),
+    ("--moment", "0.5", "--tol", "inf"),
+    ("--moment", "0.5", "--max-iter", "0"),
+    ("--moment", "0.5", "--max-iter", "-2"),
+    ("--moment", "nan"),
+    ("--moment", "inf"),
+    ("--moment", "0.5", "--lambda-init", "nan"),
+], ids=" ".join)
+def test_maxent_bad_solver_parameter_exits_2(tmp_path, capsys, flags):
+    out = tmp_path / "sol.json"
+    assert run("maxent", "--u", "x", *flags, "--lower", 0, "--upper", 10,
+               "--points", 101, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_maxent_bad_expression_exits_2(tmp_path):
     assert run("maxent", "--u", "x + sin(x)", "--moment", 0.5,
                "--lower", 0, "--upper", 10, "--points", 101,
@@ -461,6 +495,24 @@ def test_decompose_too_few_samples_exits_2(tmp_path):
     io.write_table(path, {"x": np.linspace(0, 1, 20)})
     assert run("decompose", "--samples", path, "--lower", -1, "--upper", 2,
                "--points", 101, "--out", tmp_path / "dec.csv") == 2
+
+
+def test_decompose_tied_samples(tmp_path):
+    path = tmp_path / "samples.csv"
+    io.write_table(path, {"x": np.random.default_rng(4).poisson(4.0, 500)})
+    assert run("decompose", "--samples", path, "--lower", -2, "--upper", 15,
+               "--points", 171, "--out", tmp_path / "dec.csv") == 0
+
+
+@pytest.mark.parametrize("bins", ["0", "-3"])
+def test_decompose_non_positive_bins_exits_2(tmp_path, capsys, bins):
+    path = tmp_path / "samples.csv"
+    io.write_table(path, {"x": np.linspace(-1, 1, 200)})
+    assert run("decompose", "--samples", path, "--estimator", "histogram",
+               "--bins", bins, "--lower", -2, "--upper", 2, "--points", 101,
+               "--out", tmp_path / "dec.csv") == 2
+    err = capsys.readouterr().err
+    assert "bins must be a positive integer" in err and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("bandwidth", ["0", "-0.1", "nan", "inf"])

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilib import (AnalyticPotential, EquilibriumDensity, Exponential,
-                     Normal, PolynomialPotential, SampleError,
-                     TabulatedPotential, UniformLattice, build_grid,
-                     catalog_equilibrium, decompose_samples,
-                     fisher_information_number, fit_linear_intensity,
-                     normalize, shannon_entropy, stochastic_intensity)
+from equilib import (EquilibriumDensity, Exponential, Normal,
+                     PolynomialPotential, SampleError, TabulatedPotential,
+                     UniformLattice, build_grid, catalog_equilibrium,
+                     decompose_samples, fisher_information_number,
+                     fit_linear_intensity, normalize, shannon_entropy,
+                     stochastic_intensity)
 from equilib.diagnostics import _kernel_density
 
 X = PolynomialPotential((0.0, 1.0))
@@ -36,7 +36,7 @@ def test_exponential_entropy():
     # differential entropy of Exp(a) is 1 - ln(a); fine grid keeps the
     # trapezoid bias at the x = 0 endpoint below the 1e-6 budget
     g = build_grid("continuous", 0.0, 40.0, 40001)
-    f = normalize(AnalyticPotential(Exponential(1.0)), g)
+    f = normalize(Exponential(1.0), g)
     assert shannon_entropy(f) == pytest.approx(1.0, abs=1e-6)
 
 

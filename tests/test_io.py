@@ -74,7 +74,7 @@ def test_read_table_accepts_crlf(tmp_path):
     ("x,f\n0\n1\n", "ragged"),
     ("x,f,U\n0,1\n1,2\n", "ragged"),
     ("x,g\n0,1\n1,2\n", "unknown column"),
-    ("x,f\n0,1\n0,2\n", "not strictly increasing"),
+    ("x,x\n0,1\n1,2\n", "repeated column"),
     ("x,f\n0,1\nnan,2\n2,3\n", "non-finite"),
     ("x,f\n0,1\n1,2\ninf,3\n", "non-finite"),
 ])
@@ -104,6 +104,41 @@ def test_write_table_rejects_ragged_columns(tmp_path, columns):
 def test_write_table_rejects_unknown_column(tmp_path):
     with pytest.raises(io.FormatError, match="unknown table column"):
         io.write_table(tmp_path / "t.csv", {"x": [0.0], "g": [1.0]})
+
+
+def test_read_table_keeps_samples_in_file_order(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x\n2\n0\n0\n1\n")
+    assert io.read_table(path)["x"].tolist() == [2.0, 0.0, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("x", [[0.0, 0.0, 1.0, 2.0], [0.0, 1.0, 2.0, 1.5],
+                               [3.0, 2.0, 1.0]],
+                         ids=["tie", "step_back", "reversed"])
+def test_grid_from_x_rejects_non_increasing_x(x):
+    with pytest.raises(io.FormatError, match="not strictly increasing"):
+        io.grid_from_x(np.array(x))
+
+
+# ---------------------------------------------------------------------------
+# Polynomial expressions
+
+
+@pytest.mark.parametrize("text, coeffs", [
+    ("x", (0.0, 1.0)),
+    ("2x + 0.5x**3 - 1", (-1.0, 2.0, 0.0, 0.5)),
+    ("x^2 - x", (0.0, -1.0, 1.0)),
+    ("-3 * x", (0.0, -3.0)),
+])
+def test_parse_polynomial(text, coeffs):
+    assert io.parse_polynomial(text).coeffs == coeffs
+
+
+@pytest.mark.parametrize("text", ["", "x + sin(x)", "x2", "2x3", "x x",
+                                  "1 2", "x^2 x"])
+def test_parse_polynomial_rejects_malformed(text):
+    with pytest.raises(io.FormatError):
+        io.parse_polynomial(text)
 
 
 # ---------------------------------------------------------------------------

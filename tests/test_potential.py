@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from equilib import (AnalyticPotential, EquilibriumDensity, Exponential,
-                     IntensityTable, Normal, Poisson, PotentialError,
+from equilib import (EquilibriumDensity, Exponential, IntensityTable, Normal,
+                     NormalizedPotentialTable, Poisson, PotentialError,
                      TabulatedPotential, build_grid, causal_intensity,
                      density_from_intensity, equilibrium_residual,
                      eval_potential, normalize, normalized_potential,
@@ -18,12 +18,53 @@ def harmonic(grid):
 
 
 # ---------------------------------------------------------------------------
+# tables
+
+TABLES = {
+    "TabulatedPotential": lambda g, v: TabulatedPotential(grid=g, values=v),
+    "EquilibriumDensity": lambda g, v: EquilibriumDensity(
+        grid=g, values=v, omega=1.0, k=1.0),
+    "NormalizedPotentialTable": lambda g, v: NormalizedPotentialTable(
+        grid=g, values=v),
+    "IntensityTable": lambda g, v: IntensityTable(grid=g, values=v,
+                                                  kind="causal"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+def test_table_copies_and_freezes_values(name):
+    g = build_grid("lattice", 0, 3, 4)
+    values = np.full(4, 0.25)
+    table = TABLES[name](g, values)
+    values[0] = 1.0  # the caller's array stays writable
+    assert table.values[0] == 0.25
+    with pytest.raises(ValueError):
+        table.values[0] = 1.0
+
+
+@pytest.mark.parametrize("name", sorted(TABLES))
+@pytest.mark.parametrize("n", [3, 5])
+def test_table_rejects_wrong_length(name, n):
+    g = build_grid("lattice", 0, 3, 4)
+    with pytest.raises(PotentialError, match="expected 4 values"):
+        TABLES[name](g, np.full(n, 1.0 / n))
+
+
+def test_table_mask_is_nan():
+    g = build_grid("continuous", 0, 1, 5)
+    e = IntensityTable(grid=g, values=[0.0, np.nan, 1.0, np.nan, 2.0],
+                       kind="stochastic")
+    assert e.mask.tolist() == [False, True, False, True, False]
+    assert NormalizedPotentialTable(grid=g, values=np.zeros(5)).mask.sum() == 0
+
+
+# ---------------------------------------------------------------------------
 # eval_potential
 
 
 def test_eval_exponential_potential_value():
     g = build_grid("continuous", 0, 10, 1001)
-    vals = eval_potential(AnalyticPotential(Exponential(a=2.0)), g)
+    vals = eval_potential(Exponential(a=2.0), g)
     i = np.argmin(np.abs(g.points - 1.0))
     assert vals[i] == pytest.approx(2.0, abs=1e-12)
 
@@ -90,7 +131,7 @@ def test_uniform_normalized_potential_is_log_n():
 def test_linear_normalized_potential():
     fam = Exponential(a=2.0)
     g = fam.default_grid()
-    table = normalized_potential(AnalyticPotential(fam), g)
+    table = normalized_potential(fam, g)
     expected = 2.0 * g.points - np.log(2.0)
     # quadrature error in ln(k) is the only deviation
     assert np.max(np.abs(table.values - expected)) < 1e-4
@@ -161,7 +202,7 @@ def test_normal_intensity_is_x():
 def test_exponential_intensity_is_rate():
     fam = Exponential(a=3.0)
     g = fam.default_grid()
-    f = normalize(AnalyticPotential(fam), g)
+    f = normalize(fam, g)
     es = stochastic_intensity(f)
     interior = ~es.mask
     interior[0] = interior[-1] = False
@@ -197,7 +238,7 @@ def test_constant_potential_zero_intensity():
 
 def test_linear_potential_constant_intensity():
     g = build_grid("continuous", 0, 10, 101)
-    ec = causal_intensity(AnalyticPotential(Exponential(a=2.0)), g)
+    ec = causal_intensity(Exponential(a=2.0), g)
     assert np.allclose(ec.values, -2.0, atol=1e-12)
 
 
@@ -240,8 +281,8 @@ def test_stochastic_intensity_roundtrips_to_density():
 def test_masked_intensity_rejected():
     g = build_grid("continuous", 0, 1, 11)
     vals = np.zeros(11)
-    e = IntensityTable(grid=g, values=vals, kind="causal",
-                       mask=np.eye(1, 11, 5, dtype=bool)[0])
+    vals[5] = np.nan
+    e = IntensityTable(grid=g, values=vals, kind="causal")
     with pytest.raises(PotentialError):
         density_from_intensity(e)
 
@@ -267,7 +308,7 @@ def test_uniform_residual_exactly_zero():
 def test_mismatched_pair_flagged():
     fam = Exponential(a=1.0)
     g = build_grid("continuous", 0, 20, 2001)
-    f = normalize(AnalyticPotential(fam), g)
+    f = normalize(fam, g)
     wrong = TabulatedPotential(grid=g, values=2.0 * g.points)
     rep = equilibrium_residual(f, wrong)
     interior = ~rep.mask
@@ -349,8 +390,8 @@ def test_poisson_lattice_stochastic_table_roundtrips():
 @pytest.mark.parametrize("masked, accepted", [(2, False), (5, True)])
 def test_lattice_intensity_may_mask_only_the_last_point(masked, accepted):
     g = build_grid("lattice", 0, 5, 6)
-    e = IntensityTable(grid=g, values=np.zeros(6), kind="causal",
-                       mask=np.arange(6) == masked)
+    e = IntensityTable(grid=g, kind="causal",
+                       values=np.where(np.arange(6) == masked, np.nan, 0.0))
     if accepted:
         assert np.allclose(density_from_intensity(e).values, 1.0 / 6.0,
                            atol=1e-15)

@@ -1,13 +1,13 @@
 import numpy as np
 import pytest
 
-from equilib import (AnalyticPotential, EquilibriumDensity, Exponential,
-                     Gamma, GridError, LinearConstant, Normal, SimConfig,
-                     StabilityError, TabulatedPotential, build_grid,
-                     normalize, simulate, tv_distance)
+from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
+                     LinearConstant, Normal, SimConfig, StabilityError,
+                     TabulatedPotential, build_grid, normalize, simulate,
+                     tv_distance)
 
 HARMONIC_GRID = build_grid("continuous", -6, 6, 49)
-HARMONIC = AnalyticPotential(Normal())
+HARMONIC = Normal()
 
 
 def harmonic_config(**overrides):
@@ -127,7 +127,7 @@ def test_symmetric_potential_zero_mean():
 ], ids=lambda v: type(v).__name__ if not isinstance(v, object.__class__)
    else None)
 def test_boltzmann_equilibrium_reached(fam, grid):
-    cfg = SimConfig(potential=AnalyticPotential(fam), grid=grid, dt=5e-3,
+    cfg = SimConfig(potential=fam, grid=grid, dt=5e-3,
                     n_steps=200_000, burn_in=20_000, n_chains=8, seed=99)
     r = simulate(cfg)
     assert r.tv_distance < 0.05
