@@ -9,12 +9,16 @@ numbers.  Each family exposes
 * ``intensity(x)``             causal intensity -dU_tilde/dx
 * ``density(x)``               e^(-U_tilde), shared by all families
 * ``default_grid()``           a support truncated so that the lost tail
-                               mass is below 1e-10
+                               mass is below 1e-10; the Poisson and Gamma
+                               tails are ``special.incomplete_gamma``,
+                               consulted only where a sub-gamma bound
+                               does not already settle them
 
 and is itself a potential spec (``values_on``, ``intensity_on`` and ``at``
 over ``potential`` and ``intensity``), so it goes to the transforms as is.
-The module also holds the Pearson-system generator, whose density is the
-normalized integral of its causal intensity on a grid.
+The Poisson potential takes ln Gamma from ``special.gammaln``.  The module
+also holds the Pearson-system generator, whose density is the normalized
+integral of its causal intensity on a grid.
 """
 
 from __future__ import annotations
@@ -24,17 +28,31 @@ import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
-from scipy import special as sp_special
-from scipy import stats as sp_stats
 
 from .errors import (FormatError, NonNormalizableError, PotentialError,
                      SupportError)
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .potential import EquilibriumDensity, normalize
-from .special import digamma
+from .special import digamma, gammaln, incomplete_gamma
 
 DEFAULT_POINTS = 4001
 TAIL_MASS = 1e-10
+# the exact tails take O(sqrt(v)) terms near the mean; see _tail_negligible
+_EXACT_TAIL_MAX = 1e6
+
+
+def _tail_negligible(t, v, c, exact):
+    """Whether a right tail P(X - E[X] >= t) is at most TAIL_MASS.
+
+    X - E[X] is sub-gamma with variance factor v and scale c, so the tail
+    is at most exp(-t^2 / (2 (v + c t))) (Boucheron, Lugosi and Massart,
+    "Concentration Inequalities", 2013, sec. 2.4).  The exact tail
+    ``exact()`` decides only where that bound does not, and only for
+    v <= _EXACT_TAIL_MAX; beyond it an undecided tail counts as heavy.
+    """
+    if t > 0 and t * (t / (v + c * t)) >= -2.0 * math.log(TAIL_MASS):
+        return True
+    return v <= _EXACT_TAIL_MAX and exact() <= TAIL_MASS
 
 
 def _asfloat(x):
@@ -206,7 +224,7 @@ class Poisson(_Family):
 
     def potential(self, x):
         x = self._check(x)
-        return -x * math.log(self.lam) + sp_special.gammaln(x + 1.0)
+        return -x * math.log(self.lam) + gammaln(x + 1.0)
 
     def normalized_potential(self, x):
         return self.lam + self.potential(x)
@@ -221,7 +239,10 @@ class Poisson(_Family):
             raise SupportError("lambda is too large for a default lattice; "
                                "pass an explicit grid")
         upper = max(30, math.ceil(bound))
-        while sp_stats.poisson.sf(upper, self.lam) > TAIL_MASS:
+        # P(X > upper) = P(upper + 1, lam); Bernstein: c = 1/3
+        while not _tail_negligible(
+                upper + 1 - self.lam, self.lam, 1.0 / 3.0,
+                lambda: incomplete_gamma(upper + 1, self.lam)[0]):
             upper *= 2
         return build_grid(LATTICE, 0, upper, upper + 1)
 
@@ -264,8 +285,7 @@ class Gamma(_Family):
         return self._log_term(x) + x / self.beta
 
     def normalized_potential(self, x):
-        const = float(sp_special.gammaln(self.alpha)) \
-            + self.alpha * math.log(self.beta)
+        const = math.lgamma(self.alpha) + self.alpha * math.log(self.beta)
         return self.potential(x) + const
 
     def intensity(self, x):
@@ -274,8 +294,15 @@ class Gamma(_Family):
 
     def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
         upper = self.beta * (self.alpha + 10.0 * math.sqrt(self.alpha) + 15.0)
-        while sp_special.gammaincc(self.alpha, upper / self.beta) > TAIL_MASS:
+        # P(X > upper) = Q(alpha, upper / beta); X / beta is sub-gamma with
+        # v = alpha, c = 1
+        while math.isfinite(upper) and not _tail_negligible(
+                upper / self.beta - self.alpha, self.alpha, 1.0,
+                lambda: incomplete_gamma(self.alpha, upper / self.beta)[1]):
             upper *= 2.0
+        if not math.isfinite(upper):
+            raise SupportError("alpha * beta is too large for a default grid; "
+                               "pass an explicit grid")
         # keep the grid off the x = 0 singularity of the log term
         lower = 0.5 * upper / (n_points - 1)
         return build_grid(CONTINUOUS, lower, upper, n_points)

@@ -323,6 +323,11 @@ def main(argv=None) -> int:
     except (EquilibError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except MemoryError as exc:
+        # e.g. the default lattice of a huge Poisson lambda
+        print(f"error: out of memory ({str(exc) or 'allocation failed'}); "
+              "pass a smaller explicit grid", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

@@ -6,8 +6,9 @@ import pytest
 from equilib import (Exponential, Gamma, IntensityTable, LinearConstant,
                      NonNormalizableError, Normal, PearsonParams, Poisson,
                      PotentialError, SupportError, UniformLattice, build_grid,
-                     catalog_equilibrium, density_from_intensity, normalize,
-                     pearson_density, pearson_intensity, stochastic_intensity)
+                     catalog, catalog_equilibrium, density_from_intensity,
+                     normalize, pearson_density, pearson_intensity,
+                     stochastic_intensity)
 from equilib.catalog import FAMILIES, make_family
 from equilib.errors import FormatError
 
@@ -284,6 +285,28 @@ def test_poisson_default_grid_rejects_inexact_lattice():
         Poisson(1e300).default_grid()
     with pytest.raises(SupportError, match="explicit grid"):
         Poisson(2.0 ** 54).default_grid()
+
+
+@pytest.mark.parametrize("fam", [Poisson(1e12), Poisson(2.0 ** 52),
+                                 Gamma(1e12, 1.0), Gamma(1e200, 1.0)],
+                         ids=repr)
+def test_extreme_default_grids_come_from_the_tail_bound(fam, monkeypatch):
+    # the closed-form bound decides, so the O(sqrt(lam)) series never runs
+    def no_exact_tail(*args):
+        raise AssertionError("exact tail evaluated")
+
+    monkeypatch.setattr(catalog, "incomplete_gamma", no_exact_tail)
+    grid = fam.default_grid()
+    assert math.isfinite(grid.lower) and math.isfinite(grid.upper)
+    assert "points" not in vars(grid)  # no lattice or grid was allocated
+    mean = fam.lam if isinstance(fam, Poisson) else fam.alpha * fam.beta
+    assert grid.upper > mean
+
+
+@pytest.mark.parametrize("alpha, beta", [(1e308, 1.0), (1.0, 1e308)])
+def test_gamma_default_grid_rejects_overflowing_scale(alpha, beta):
+    with pytest.raises(SupportError, match="explicit grid"):
+        Gamma(alpha, beta).default_grid()
 
 
 def test_pearson_density_equals_integrated_intensity():

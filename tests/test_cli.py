@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equilib import Normal, cli, io
+import equilib
+from equilib import Grid, Normal, cli, io
 from equilib.catalog import FAMILIES, make_family
 
 
@@ -92,6 +97,33 @@ def test_catalog_poisson_huge_lambda_exits_2(tmp_path, capsys):
                "--out", out) == 2
     assert _one_line_error(capsys)
     assert not out.exists()
+
+
+def test_catalog_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
+    # Poisson(1e12)'s default lattice needs ~8 TB; stand in for the failed
+    # allocation instead of attempting it
+    def no_memory(grid):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with "
+                          "shape (1000010000001,) and data type float64")
+
+    monkeypatch.setattr(Grid, "points", property(no_memory))
+    out = tmp_path / "p.csv"
+    assert run("catalog", "--family", "poisson", "--lam", "1e12",
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory (Unable to allocate")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = Path(equilib.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = ("import sys, equilib.cli; print(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 FAMILY_PARAMS = {
