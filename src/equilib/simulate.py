@@ -6,6 +6,12 @@ exactly k e^(-U), so the long-run histogram must converge to the
 quadrature density.  Chains reflect at the grid bounds and draw their
 noise from per-chain Philox streams derived deterministically from
 (seed, chain index), making every run bit-reproducible.
+
+Noise is drawn and visits are counted in blocks of steps, so memory is
+O(chains x block + points) and ``n_steps`` has no memory ceiling: a huge
+run takes long rather than failing to allocate.  Block draws from one
+Philox stream equal one large draw and integer counts sum exactly, so the
+result's bits do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -22,6 +28,8 @@ from .potential import EquilibriumDensity, causal_intensity, normalize
 
 RNG_ALGORITHM = "philox4x64"
 STABILITY_LIMIT = 0.5
+# floats per block buffer (1 MiB); a block is this many steps of all chains
+BLOCK_ELEMENTS = 2 ** 17
 
 
 @dataclass(frozen=True)
@@ -57,6 +65,7 @@ class SimResult:
     n_samples_used: int
     tv_distance: float
     seed: int
+    stability_margin: float          # dt * max|E_c|, guarded below 0.5
     rng_algorithm: str = RNG_ALGORITHM
 
 
@@ -87,10 +96,10 @@ def simulate(config: SimConfig) -> SimResult:
     ec = causal_intensity(config.potential, grid)
     if np.any(ec.mask):
         raise StabilityError("causal intensity is undefined on the grid")
-    max_drift = float(np.max(np.abs(ec.values)))
-    if config.dt * max_drift >= STABILITY_LIMIT:
+    margin = config.dt * float(np.max(np.abs(ec.values)))
+    if margin >= STABILITY_LIMIT:
         raise StabilityError(
-            f"dt * max|E_c| = {config.dt * max_drift:g} exceeds the "
+            f"dt * max|E_c| = {margin:g} exceeds the "
             f"{STABILITY_LIMIT} stability guard"
         )
 
@@ -101,23 +110,25 @@ def simulate(config: SimConfig) -> SimResult:
 
     rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
     x = np.array([rng.uniform(grid.lower, grid.upper) for rng in rngs])
-    noise = np.stack([rng.standard_normal(config.n_steps) for rng in rngs])
 
-    kept = config.n_steps - config.burn_in
-    positions = np.empty((config.n_chains, kept))
-    amp = np.sqrt(2.0 * config.dt)
-    for t in range(config.n_steps):
-        x = x + drift(x) * config.dt + amp * noise[:, t]
-        x = _reflect(x, grid.lower, grid.upper)
-        if t >= config.burn_in:
-            positions[:, t - config.burn_in] = x
-
-    # merge integer counts per chain before normalizing (order-independent)
     pts = grid.points
     edges = np.concatenate(([pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]))
     counts = np.zeros(grid.n_points, dtype=np.int64)
-    for c in range(config.n_chains):
-        counts += np.histogram(positions[c], bins=edges)[0]
+    block = min(config.n_steps, max(1, BLOCK_ELEMENTS // config.n_chains))
+    noise = np.empty((config.n_chains, block))
+    path = np.empty((block, config.n_chains))
+    amp = np.sqrt(2.0 * config.dt)
+    for start in range(0, config.n_steps, block):
+        m = min(block, config.n_steps - start)
+        for rng, row in zip(rngs, noise):
+            rng.standard_normal(out=row[:m])
+        for t in range(m):
+            x = x + drift(x) * config.dt + amp * noise[:, t]
+            x = _reflect(x, grid.lower, grid.upper)
+            path[t] = x
+        # burn-in may end mid-block; integer counts merge exactly
+        skip = max(0, config.burn_in - start)
+        counts += np.histogram(path[skip:m], bins=edges)[0]
     hist = EquilibriumDensity.from_table(
         grid, counts / (counts.sum() * grid.weights))
 
@@ -126,4 +137,5 @@ def simulate(config: SimConfig) -> SimResult:
         n_samples_used=int(counts.sum()),
         tv_distance=tv_distance(hist, target),
         seed=config.seed,
+        stability_margin=margin,
     )

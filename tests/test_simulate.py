@@ -1,3 +1,6 @@
+import importlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,11 @@ from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
                      LinearConstant, Normal, SimConfig, StabilityError,
                      TabulatedPotential, build_grid, normalize, simulate,
                      tv_distance)
+from equilib.catalog import _Family
+from equilib.potential import causal_intensity
+from equilib.simulate import _chain_rng, _reflect
+
+SIM_MODULE = importlib.import_module("equilib.simulate")
 
 HARMONIC_GRID = build_grid("continuous", -6, 6, 49)
 HARMONIC = Normal()
@@ -139,3 +147,79 @@ def test_histogram_is_normalized():
     assert abs(g.quadrature(r.histogram.values) - 1.0) <= 1e-12
     assert r.rng_algorithm == "philox4x64"
     assert r.seed == 42
+
+
+def test_stability_margin_is_dt_times_max_intensity():
+    # |E_c| = |x| peaks at 6 on the +-6 grid
+    r = simulate(harmonic_config(n_steps=100, burn_in=10))
+    assert r.stability_margin == pytest.approx(5e-3 * 6.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# streaming in blocks against the whole-array loop
+
+
+def _reference_simulate(config):
+    """Whole-array Euler-Maruyama: all noise and kept positions at once."""
+    grid = config.grid
+    ec = causal_intensity(config.potential, grid)
+    drift = (config.potential.intensity
+             if isinstance(config.potential, _Family)
+             else lambda x: np.interp(x, grid.points, ec.values))
+    rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
+    x = np.array([rng.uniform(grid.lower, grid.upper) for rng in rngs])
+    noise = np.stack([rng.standard_normal(config.n_steps) for rng in rngs])
+    positions = np.empty((config.n_chains, config.n_steps - config.burn_in))
+    amp = np.sqrt(2.0 * config.dt)
+    for t in range(config.n_steps):
+        x = x + drift(x) * config.dt + amp * noise[:, t]
+        x = _reflect(x, grid.lower, grid.upper)
+        if t >= config.burn_in:
+            positions[:, t - config.burn_in] = x
+    pts = grid.points
+    edges = np.concatenate(([pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]))
+    counts = np.zeros(grid.n_points, dtype=np.int64)
+    for c in range(config.n_chains):
+        counts += np.histogram(positions[c], bins=edges)[0]
+    hist = EquilibriumDensity.from_table(
+        grid, counts / (counts.sum() * grid.weights))
+    return (hist.values, int(counts.sum()),
+            tv_distance(hist, normalize(config.potential, grid)))
+
+
+WELL_GRID = build_grid("continuous", -3, 3, 31)
+WELL = TabulatedPotential(grid=WELL_GRID,
+                          values=(WELL_GRID.points ** 2 - 1.0) ** 2 / 2)
+
+
+# 60 steps: blocks of 1, 7 and 13 steps (13 does not divide 60) and one
+# block longer than the run; burn-in 10 ends inside the second block of 7
+# and the first of 13, burn-in 30 spans several blocks of each
+@pytest.mark.parametrize("block", [1, 7, 13, 100])
+@pytest.mark.parametrize("burn_in", [0, 10, 30])
+@pytest.mark.parametrize("potential,grid", [(HARMONIC, HARMONIC_GRID),
+                                            (WELL, WELL_GRID)],
+                         ids=["family", "tabulated"])
+def test_blocks_match_whole_array_loop(potential, grid, burn_in, block,
+                                       monkeypatch):
+    cfg = SimConfig(potential=potential, grid=grid, dt=5e-3, n_steps=60,
+                    burn_in=burn_in, n_chains=3, seed=17)
+    monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", block * cfg.n_chains)
+    values, n_used, tv = _reference_simulate(cfg)
+    r = simulate(cfg)
+    assert np.array_equal(r.histogram.values, values)
+    assert r.n_samples_used == n_used == 3 * (60 - burn_in)
+    assert r.tv_distance == tv
+
+
+def test_memory_does_not_grow_with_steps():
+    # the whole-array loop (all noise and kept positions at once) peaked
+    # at 79 MB
+    cfg = harmonic_config(n_steps=20_000, burn_in=2_000, n_chains=256)
+    tracemalloc.start()
+    try:
+        simulate(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
