@@ -1,8 +1,8 @@
 """Closed-form potential/intensity/density triples for the standard families.
 
 ``FAMILIES`` names the families for the CLI and JSON specs, and
-``make_family`` builds one from its fields, which must be finite real
-numbers.  Each family exposes
+``make_family`` builds one from its fields, checked by
+``errors.require_real`` and ``require_integer``.  Each family exposes
 
 * ``potential(x)``             an (unnormalized) potential U with f = k e^(-U)
 * ``normalized_potential(x)``  U_tilde = -ln f, exact closed form
@@ -24,13 +24,12 @@ integral of its causal intensity on a grid.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
 
 from .errors import (FormatError, NonNormalizableError, PotentialError,
-                     SupportError)
+                     SupportError, require_integer, require_real)
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .potential import EquilibriumDensity, normalize
 from .special import digamma, gammaln, incomplete_gamma
@@ -62,13 +61,16 @@ def _asfloat(x):
 class _Family:
     """Base of the closed-form families: checked fields, one density."""
 
+    _positive = ()  # names of the real fields that must also be > 0
+
     def __post_init__(self):
         for f in fields(self):
             value = getattr(self, f.name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise SupportError(
-                    f"{f.name} must be a finite real number, got {value!r}")
+            if f.type == "int":
+                require_integer(value, f.name, SupportError, 1)
+            else:
+                require_real(value, f.name, SupportError,
+                             positive=f.name in self._positive)
 
     def density(self, x):
         return np.exp(-self.normalized_potential(x))
@@ -98,11 +100,6 @@ class UniformLattice(_Family):
 
     n: int
 
-    def __post_init__(self):
-        super().__post_init__()
-        if not (isinstance(self.n, numbers.Integral) and self.n >= 1):
-            raise SupportError("n must be a positive integer")
-
     def potential(self, x):
         return np.zeros_like(_asfloat(x))
 
@@ -112,7 +109,7 @@ class UniformLattice(_Family):
     def intensity(self, x):
         return np.zeros_like(_asfloat(x))
 
-    def default_grid(self, n_points: int | None = None) -> Grid:
+    def default_grid(self) -> Grid:
         return build_grid(LATTICE, 1, self.n, self.n)
 
 
@@ -121,11 +118,7 @@ class Exponential(_Family):
     """Exp(a): constant causal intensity -a on x >= 0."""
 
     a: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.a > 0:
-            raise SupportError("rate a must be positive")
+    _positive = ("a",)
 
     def potential(self, x):
         return self.a * self._check(x)
@@ -136,8 +129,8 @@ class Exponential(_Family):
     def intensity(self, x):
         return np.full_like(self._check(x), -self.a)
 
-    def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
-        return build_grid(CONTINUOUS, 0.0, 40.0 / self.a, n_points)
+    def default_grid(self) -> Grid:
+        return build_grid(CONTINUOUS, 0.0, 40.0 / self.a, DEFAULT_POINTS)
 
 
 @dataclass(frozen=True)
@@ -157,8 +150,7 @@ class Normal(_Family):
     @classmethod
     def from_b(cls, b: float) -> "Normal":
         """Intensity parameterization E_c(x) = -b x, i.e. n(0, sqrt(1/b))."""
-        if not b > 0:
-            raise SupportError("b must be positive")
+        require_real(b, "b", SupportError, positive=True)
         return cls(mu=0.0, sigma=math.sqrt(1.0 / b))
 
     def potential(self, x):
@@ -172,9 +164,9 @@ class Normal(_Family):
     def intensity(self, x):
         return -(_asfloat(x) - self.mu) / self.sigma ** 2
 
-    def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
+    def default_grid(self) -> Grid:
         return build_grid(CONTINUOUS, self.mu - 8.0 * self.sigma,
-                          self.mu + 8.0 * self.sigma, n_points)
+                          self.mu + 8.0 * self.sigma, DEFAULT_POINTS)
 
 
 @dataclass(frozen=True)
@@ -186,11 +178,7 @@ class LinearConstant(_Family):
 
     a: float
     b: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.b > 0:
-            raise SupportError("b must be positive")
+    _positive = ("b",)
 
     def as_normal(self) -> Normal:
         return Normal(mu=-self.a / self.b, sigma=math.sqrt(1.0 / self.b))
@@ -207,8 +195,8 @@ class LinearConstant(_Family):
     def intensity(self, x):
         return -self.a - self.b * _asfloat(x)
 
-    def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
-        return self.as_normal().default_grid(n_points)
+    def default_grid(self) -> Grid:
+        return self.as_normal().default_grid()
 
 
 @dataclass(frozen=True)
@@ -216,11 +204,7 @@ class Poisson(_Family):
     """Poi(lam) on the integer lattice; digamma-form causal intensity."""
 
     lam: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.lam > 0:
-            raise SupportError("lambda must be positive")
+    _positive = ("lam",)
 
     def potential(self, x):
         x = self._check(x)
@@ -233,7 +217,7 @@ class Poisson(_Family):
         x = self._check(x)
         return -digamma(x + 1.0) + math.log(self.lam)
 
-    def default_grid(self, n_points: int | None = None) -> Grid:
+    def default_grid(self) -> Grid:
         bound = self.lam + 10.0 * math.sqrt(self.lam)
         if bound > 2.0 ** 53:  # integers above this are not exact floats
             raise SupportError("lambda is too large for a default lattice; "
@@ -253,19 +237,14 @@ class Gamma(_Family):
 
     alpha: float
     beta: float
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not (self.alpha > 0 and self.beta > 0):
-            raise SupportError("alpha and beta must be positive")
+    _positive = ("alpha", "beta")
 
     @classmethod
     def from_intensity(cls, a: float, b: float) -> "Gamma":
         """Intensity form E_c(x) = -a/x - b; requires a < 1 for a valid shape."""
         if not a < 1:
             raise SupportError("intensity form needs a < 1 (shape 1 - a > 0)")
-        if not b > 0:
-            raise SupportError("b must be positive")
+        require_real(b, "b", SupportError, positive=True)
         return cls(alpha=1.0 - a, beta=1.0 / b)
 
     def _check(self, x):
@@ -292,7 +271,7 @@ class Gamma(_Family):
         x = self._check(x)
         return -(1.0 - self.alpha) / x - 1.0 / self.beta
 
-    def default_grid(self, n_points: int = DEFAULT_POINTS) -> Grid:
+    def default_grid(self) -> Grid:
         upper = self.beta * (self.alpha + 10.0 * math.sqrt(self.alpha) + 15.0)
         # P(X > upper) = Q(alpha, upper / beta); X / beta is sub-gamma with
         # v = alpha, c = 1
@@ -304,8 +283,8 @@ class Gamma(_Family):
             raise SupportError("alpha * beta is too large for a default grid; "
                                "pass an explicit grid")
         # keep the grid off the x = 0 singularity of the log term
-        lower = 0.5 * upper / (n_points - 1)
-        return build_grid(CONTINUOUS, lower, upper, n_points)
+        lower = 0.5 * upper / (DEFAULT_POINTS - 1)
+        return build_grid(CONTINUOUS, lower, upper, DEFAULT_POINTS)
 
 
 FAMILIES = {"uniform": UniformLattice, "exponential": Exponential,
@@ -347,6 +326,8 @@ class PearsonParams:
     sign: str = "standard"
 
     def __post_init__(self):
+        for name in ("a", "b0", "b1", "b2"):
+            require_real(getattr(self, name), name, PotentialError)
         if self.sign not in ("standard", "paper"):
             raise PotentialError(f"unknown Pearson sign {self.sign!r}")
 

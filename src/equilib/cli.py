@@ -19,7 +19,7 @@ from . import io
 from .catalog import FAMILIES, _Family, make_family
 from .diagnostics import decompose_samples, fit_linear_intensity
 from .errors import (EquilibError, MomentRangeError, NonNormalizableError)
-from .grid import Grid, build_grid
+from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .maxent import MaxEntProblem, sample_u_moment, solve_maxent
 from .potential import (EquilibriumDensity, TabulatedPotential,
                         causal_intensity, normalize, normalized_potential,
@@ -35,16 +35,20 @@ def _add_grid_args(parser, required=False):
     parser.add_argument("--lower", type=float, required=required)
     parser.add_argument("--upper", type=float, required=required)
     parser.add_argument("--points", type=int, required=required)
-    parser.add_argument("--grid-kind", choices=["continuous", "lattice"],
-                        default="continuous")
+    parser.add_argument("--grid-kind", choices=[CONTINUOUS, LATTICE])
 
 
 def _grid_from_args(args) -> Grid | None:
-    if args.lower is None and args.upper is None and args.points is None:
+    bounds = (args.lower, args.upper, args.points)
+    if bounds == (None, None, None):
+        if args.grid_kind is not None:
+            raise io.FormatError("--grid-kind needs --lower, --upper and "
+                                 "--points")
         return None
-    if args.lower is None or args.upper is None or args.points is None:
+    if None in bounds:
         raise io.FormatError("--lower, --upper and --points go together")
-    return build_grid(args.grid_kind, args.lower, args.upper, args.points)
+    return build_grid(args.grid_kind or CONTINUOUS, args.lower, args.upper,
+                      args.points)
 
 
 # ---------------------------------------------------------------------------
@@ -87,11 +91,10 @@ def _load_transform_input(args):
         elif grid is None:
             raise io.FormatError("this potential needs explicit grid args")
         return "potential", spec, grid
-    table = io.read_table(path)
-    if "x" not in table:
-        raise io.FormatError(f"{path}: table needs an x column")
-    grid = io.grid_from_x(table["x"], kind=None if args.lower is None
-                          else args.grid_kind)
+    if (args.lower, args.upper, args.points) != (None, None, None):
+        raise io.FormatError(f"{path}: a table's grid comes from its x "
+                             "column; drop --lower, --upper and --points")
+    table, grid = io.read_grid_table(path, args.grid_kind)
     if "f" in table:
         if not np.isfinite(table["f"]).all():
             raise io.FormatError(f"{path}: f column has non-finite values")
@@ -144,7 +147,7 @@ def _potential_from_arg(text: str):
     if text.endswith(".json"):
         return io.parse_potential(io.load_spec(text))
     if text.endswith(".csv"):
-        return io.parse_potential({"family": "tabulated", "csv": text})
+        return io.read_tabulated_potential(text)
     return io.parse_polynomial(text)
 
 

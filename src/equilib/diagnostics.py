@@ -19,12 +19,11 @@ sum by O((h / bandwidth)^2) for spacing h.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SampleError
+from .errors import SampleError, require_integer, require_real
 from .grid import CONTINUOUS, Grid
 from .maxent import _moment_and_var
 from .potential import (EquilibriumDensity, IntensityTable,
@@ -165,17 +164,13 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
     if estimator == "histogram":
         if bins is None:
             bins = max(10, int(round(np.sqrt(samples.size))))
-        if (isinstance(bins, bool) or not isinstance(bins, numbers.Integral)
-                or bins < 1):
-            raise SampleError(f"bins must be a positive integer, got {bins!r}")
+        require_integer(bins, "bins", SampleError, 1)
         raw = _histogram_density(samples[in_range], grid, bins)
         label = f"histogram(bins={bins})"
     elif estimator == "kernel":
         if bandwidth is None:
             bandwidth = _silverman_bandwidth(samples)
-        if not (np.isfinite(bandwidth) and bandwidth > 0):
-            raise SampleError(
-                f"bandwidth must be positive and finite, got {bandwidth:g}")
+        require_real(bandwidth, "bandwidth", SampleError, positive=True)
         raw = _kernel_density(samples, grid, bandwidth)
         label = f"kernel(bandwidth={bandwidth:g})"
     else:

@@ -10,13 +10,12 @@ at the last point, and its inverse, the cumulative sum.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, require_integer, require_real
 
 CONTINUOUS = "continuous"
 LATTICE = "lattice"
@@ -44,18 +43,15 @@ class Grid:
     def __post_init__(self):
         if self.kind not in (CONTINUOUS, LATTICE):
             raise GridError(f"unknown grid kind {self.kind!r}")
-        if not (np.isfinite(self.lower) and np.isfinite(self.upper)):
-            raise GridError("grid bounds must be finite")
+        require_real(self.lower, "lower", GridError)
+        require_real(self.upper, "upper", GridError)
+        object.__setattr__(self, "lower", float(self.lower))
+        object.__setattr__(self, "upper", float(self.upper))
         if not self.lower < self.upper:
             raise GridError(
                 f"reversed or empty bounds: lower={self.lower}, upper={self.upper}"
             )
-        if (isinstance(self.n_points, bool)
-                or not isinstance(self.n_points, numbers.Integral)):
-            raise GridError(
-                f"n_points must be an integer, got {self.n_points!r}")
-        if self.n_points < 3:
-            raise GridError(f"need at least 3 points, got {self.n_points}")
+        require_integer(self.n_points, "n_points", GridError, 3)
         if self.kind == LATTICE:
             if self.lower != int(self.lower) or self.upper != int(self.upper):
                 raise GridError("lattice bounds must be integers")
@@ -129,20 +125,11 @@ class Grid:
                  else 0.5 * self.spacing * (s[1:] + s[:-1]))
         return np.concatenate(([0.0], np.cumsum(steps)))
 
-    def same_as(self, other: "Grid") -> bool:
-        return (
-            self.kind == other.kind
-            and self.lower == other.lower
-            and self.upper == other.upper
-            and self.n_points == other.n_points
-        )
-
     def require_same(self, other: "Grid", what: str = "operands"):
-        if not self.same_as(other):
+        if self != other:
             raise GridError(f"{what} live on different grids")
 
 
 def build_grid(kind: str, lower: float, upper: float, n_points: int) -> Grid:
     """Construct a validated grid. See :class:`Grid` for the invariants."""
-    return Grid(kind=kind, lower=float(lower), upper=float(upper),
-                n_points=n_points)
+    return Grid(kind=kind, lower=lower, upper=upper, n_points=n_points)

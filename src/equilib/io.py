@@ -10,13 +10,12 @@ anything else is a FormatError.  A grid built from an x column
 come in any order.
 
 Specs are JSON documents tagged by a top-level "kind"; unknown fields are
-rejected.
+rejected, and each numeric field is checked by the object it builds.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from contextlib import contextmanager
 from dataclasses import fields
@@ -106,6 +105,22 @@ def grid_from_x(x: np.ndarray, kind: str | None = None) -> Grid:
     return build_grid(kind, x[0], x[-1], x.size)
 
 
+def read_grid_table(path, kind: str | None = None):
+    """Read a table and the grid of its x column (see ``grid_from_x``)."""
+    table = read_table(path)
+    if "x" not in table:
+        raise FormatError(f"{path}: table needs an 'x' column")
+    return table, grid_from_x(table["x"], kind)
+
+
+def read_tabulated_potential(path) -> TabulatedPotential:
+    """The potential of a table's U column on the grid of its x column."""
+    table, grid = read_grid_table(path)
+    if "U" not in table:
+        raise FormatError(f"{path}: tabulated potential needs a 'U' column")
+    return TabulatedPotential(grid=grid, values=table["U"])
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expressions for --u
 
@@ -163,9 +178,6 @@ def _check_fields(obj: dict, allowed: set, what: str):
     unknown = set(obj) - allowed
     if unknown:
         raise FormatError(f"{what}: unknown fields {sorted(unknown)}")
-    for key, value in obj.items():
-        if isinstance(value, (int, float)) and not math.isfinite(value):
-            raise FormatError(f"{what}: field {key!r} is not finite")
 
 
 @contextmanager
@@ -217,12 +229,7 @@ def parse_potential(obj: dict):
         # tabulated: CSV with x and U columns
         if not isinstance(obj["csv"], str):
             raise FormatError(f"{what}: csv must be a file path string")
-        table = read_table(obj["csv"])
-        if "U" not in table:
-            raise FormatError(f"{obj['csv']}: tabulated potential needs a "
-                              f"'U' column")
-        grid = grid_from_x(table["x"])
-        return TabulatedPotential(grid=grid, values=table["U"])
+        return read_tabulated_potential(obj["csv"])
 
 
 def parse_sim_config(obj: dict) -> SimConfig:

@@ -9,13 +9,12 @@ bisection on a bracket grown by doubling when Newton stalls.
 
 from __future__ import annotations
 
-import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, MomentRangeError, SampleError
+from .errors import (FormatError, MomentRangeError, SampleError,
+                     require_integer, require_real)
 from .grid import Grid
 from .potential import (EquilibriumDensity, NormalizedPotentialTable,
                         TabulatedPotential, eval_potential, normalize,
@@ -34,18 +33,10 @@ class MaxEntProblem:
     max_iter: int = 100
 
     def __post_init__(self):
-        for name in ("target_moment", "lambda_init", "tol"):
-            value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not math.isfinite(value)):
-                raise FormatError(f"{name} must be finite, got {value!r}")
-        if not self.tol > 0:
-            raise FormatError(f"tol must be positive, got {self.tol!r}")
-        if (isinstance(self.max_iter, bool)
-                or not isinstance(self.max_iter, numbers.Integral)
-                or self.max_iter < 1):
-            raise FormatError(
-                f"max_iter must be an integer >= 1, got {self.max_iter!r}")
+        require_real(self.target_moment, "target_moment", FormatError)
+        require_real(self.lambda_init, "lambda_init", FormatError)
+        require_real(self.tol, "tol", FormatError, positive=True)
+        require_integer(self.max_iter, "max_iter", FormatError, 1)
 
 
 @dataclass(frozen=True)
@@ -70,6 +61,9 @@ def sample_u_moment(samples, u) -> float:
     samples = np.asarray(samples, dtype=float)
     if samples.size == 0:
         raise SampleError("empty sample set")
+    if not hasattr(u, "at"):
+        raise SampleError(f"{type(u).__name__} has no pointwise form for a "
+                          "sample moment; pass the target moment (--moment)")
     vals = np.asarray(u.at(samples), dtype=float)
     if not np.all(np.isfinite(vals)):
         raise SampleError("sample outside the domain of u")

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonNormalizableError, PotentialError
+from .errors import NonNormalizableError, PotentialError, require_real
 from .grid import Grid
 
 # Absolute and relative density floors below which logs/derivatives are
@@ -97,10 +97,12 @@ class PolynomialPotential:
     coeffs: tuple
 
     def __post_init__(self):
-        cs = tuple(float(c) for c in self.coeffs)
-        if len(cs) == 0 or not all(np.isfinite(cs)):
-            raise PotentialError("polynomial needs finite coefficients")
-        object.__setattr__(self, "coeffs", cs)
+        if len(self.coeffs) == 0:
+            raise PotentialError("a polynomial needs at least one coefficient")
+        for j, c in enumerate(self.coeffs):
+            require_real(c, f"coeffs[{j}]", PotentialError)
+        object.__setattr__(self, "coeffs",
+                           tuple(float(c) for c in self.coeffs))
 
     def at(self, x):
         x = np.asarray(x, dtype=float)

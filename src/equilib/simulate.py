@@ -16,13 +16,12 @@ result's bits do not depend on the block size.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .catalog import _Family
-from .errors import GridError, StabilityError
+from .errors import GridError, StabilityError, require_integer, require_real
 from .grid import CONTINUOUS, Grid
 from .potential import EquilibriumDensity, causal_intensity, normalize
 
@@ -43,19 +42,13 @@ class SimConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("n_steps", "burn_in", "n_chains", "seed"):
-            value = getattr(self, name)
-            if (isinstance(value, bool)
-                    or not isinstance(value, numbers.Integral)):
-                raise StabilityError(
-                    f"{name} must be an integer, got {value!r}")
-        if not self.dt > 0:
-            raise StabilityError("dt must be positive")
-        if self.n_steps < 1 or self.n_chains < 1:
-            raise StabilityError("n_steps and n_chains must be positive")
-        if not 0 <= self.burn_in < self.n_steps:
-            raise StabilityError("need 0 <= burn_in < n_steps")
-        if not 0 <= self.seed < 2 ** 64:
+        require_real(self.dt, "dt", StabilityError, positive=True)
+        for name, minimum in (("n_steps", 1), ("n_chains", 1),
+                              ("burn_in", 0), ("seed", 0)):
+            require_integer(getattr(self, name), name, StabilityError, minimum)
+        if not self.burn_in < self.n_steps:
+            raise StabilityError("need burn_in < n_steps")
+        if not self.seed < 2 ** 64:
             raise StabilityError("seed must fit in 64 unsigned bits")
 
 

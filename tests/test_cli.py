@@ -278,14 +278,20 @@ def test_transform_one_row_table_exits_2(tmp_path, capsys):
     {"family": "polynomial", "coeffs": "12"},
     {"family": "normal", "sigma": "1"},
     {"family": "normal", "sigma": 1e-320},
+    {"family": "normal", "mu": 10 ** 400},
+    {"family": "polynomial", "coeffs": [True, "2"]},
+    {"family": "pearson", "a": 0, "b0": "1", "b1": 0, "b2": 0},
+    {"family": "pearson", "a": True, "b0": 1, "b1": 0, "b2": 0},
 ])
 def test_transform_bad_spec_value_exits_2(tmp_path, capsys, spec):
+    out = tmp_path / "f.csv"
     path = write_json(tmp_path / "pot.json", dict(spec, kind="potential"))
     assert run("transform", "--in", path, "--to", "density",
                "--lower", -1, "--upper", 1, "--points", 11,
-               "--out", tmp_path / "f.csv") == 2
+               "--out", out) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("body, message", [
@@ -310,6 +316,51 @@ def test_transform_zero_mass_table_exits_3(tmp_path, capsys):
                "--out", out) == 3
     err = capsys.readouterr().err
     assert "zero or non-finite mass" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [
+    ["--lower", 0, "--upper", 3, "--points", 4],
+    ["--points", 4],
+    ["--lower", 0, "--grid-kind", "lattice"],
+], ids=["all", "points", "lower"])
+def test_transform_table_rejects_grid_args_exits_2(tmp_path, capsys, grid):
+    src = tmp_path / "f.csv"
+    src.write_text("x,f\n0,0.2\n1,0.3\n2,0.3\n3,0.2\n")
+    out = tmp_path / "u.csv"
+    assert run("transform", "--in", src, "--to", "potential", *grid,
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "comes from its x column" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_transform_table_grid_kind_forces_the_kind(tmp_path):
+    # consecutive integers read as a lattice, whose forward difference is
+    # masked at the last point; a continuous grid has a one-sided one there
+    src = tmp_path / "f.csv"
+    src.write_text("x,f\n0,0.2\n1,0.3\n2,0.3\n3,0.2\n")
+    last_masked = []
+    for kind in ([], ["--grid-kind", "continuous"]):
+        out = tmp_path / "es.csv"
+        assert run("transform", "--in", src, "--to", "intensity", *kind,
+                   "--out", out) == 0
+        last_masked.append(io.read_table(out)["mask"][-1])
+    assert last_masked == [1, 0]
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--family", "normal"],
+    ["transform", "--in", "pot.json", "--to", "density"],
+], ids=["catalog", "transform"])
+def test_grid_kind_without_bounds_exits_2(tmp_path, capsys, monkeypatch,
+                                          argv):
+    monkeypatch.chdir(tmp_path)
+    write_json(tmp_path / "pot.json", NORMAL_SPEC)
+    out = tmp_path / "out.csv"
+    assert run(*argv, "--grid-kind", "lattice", "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "--grid-kind needs" in err and err.count("\n") == 1
     assert not out.exists()
 
 
@@ -406,6 +457,21 @@ def test_maxent_bad_solver_parameter_exits_2(tmp_path, capsys, flags):
     assert not out.exists()
 
 
+def test_maxent_samples_of_pearson_u_exits_2(tmp_path, capsys):
+    # a Pearson potential is an integral on a grid, with no value at a sample
+    u = write_json(tmp_path / "u.json",
+                   {"kind": "potential", "family": "pearson",
+                    "a": 0, "b0": 1, "b1": 0, "b2": 0})
+    samples = tmp_path / "s.csv"
+    io.write_table(samples, {"x": np.linspace(-1, 1, 50)})
+    out = tmp_path / "sol.json"
+    assert run("maxent", "--u", u, "--samples", samples, "--lower", -3,
+               "--upper", 3, "--points", 61, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "--moment" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_maxent_bad_expression_exits_2(tmp_path):
     assert run("maxent", "--u", "x + sin(x)", "--moment", 0.5,
                "--lower", 0, "--upper", 10, "--points", 101,
@@ -459,15 +525,32 @@ def test_simulate_unstable_config_exits_2(tmp_path):
     {"dt": "a"},
     {"n_steps": "a"},
     {"grid": dict(SIM_CONFIG["grid"], n_points="a")},
+    {"dt": True},
 ])
 def test_simulate_non_numeric_field_exits_2(tmp_path, capsys, change):
+    out = tmp_path / "res.json"
     path = write_json(tmp_path / "cfg.json", dict(SIM_CONFIG, **change))
-    assert run("simulate", "--config", path, "--out",
-               tmp_path / "res.json") == 2
+    assert run("simulate", "--config", path, "--out", out) == 2
     err = capsys.readouterr().err
-    # SimConfig and Grid check their counts as integers themselves
-    expected = "bad field value" if "dt" in change else "must be an integer"
+    # SimConfig and Grid check their numeric fields themselves
+    expected = ("dt must be positive and finite" if "dt" in change
+                else "must be an integer")
     assert expected in err and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bound", [{"lower": "-6"}, {"upper": True},
+                                   {"lower": 10 ** 400}],
+                         ids=["string", "bool", "huge_int"])
+def test_simulate_non_real_grid_bound_exits_2(tmp_path, capsys, bound):
+    out = tmp_path / "res.json"
+    cfg = dict(SIM_CONFIG, grid=dict(SIM_CONFIG["grid"], **bound))
+    path = write_json(tmp_path / "cfg.json", cfg)
+    assert run("simulate", "--config", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"{next(iter(bound))} must be a finite real number" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field", ["potential", "grid"])
@@ -540,11 +623,13 @@ def test_decompose_tied_samples(tmp_path):
 def test_decompose_non_positive_bins_exits_2(tmp_path, capsys, bins):
     path = tmp_path / "samples.csv"
     io.write_table(path, {"x": np.linspace(-1, 1, 200)})
+    out = tmp_path / "dec.csv"
     assert run("decompose", "--samples", path, "--estimator", "histogram",
                "--bins", bins, "--lower", -2, "--upper", 2, "--points", 101,
-               "--out", tmp_path / "dec.csv") == 2
+               "--out", out) == 2
     err = capsys.readouterr().err
-    assert "bins must be a positive integer" in err and err.count("\n") == 1
+    assert "bins must be an integer >= 1" in err and err.count("\n") == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("bandwidth", ["0", "-0.1", "nan", "inf"])

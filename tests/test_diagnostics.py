@@ -164,7 +164,8 @@ def test_all_samples_out_of_range_rejected():
         decompose_samples(np.full(200, 5.0), grid)
 
 
-@pytest.mark.parametrize("bandwidth", [0.0, -0.1, np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("bandwidth", [0.0, -0.1, np.nan, np.inf, -np.inf,
+                                       True, "a"])
 def test_invalid_bandwidth_rejected(bandwidth):
     grid = build_grid("continuous", -4, 4, 201)
     samples = np.random.default_rng(1).standard_normal(500)

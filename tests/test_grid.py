@@ -29,6 +29,14 @@ def test_lattice_count_mismatch_rejected():
         build_grid("lattice", 0.5, 30, 31)
 
 
+@pytest.mark.parametrize("lower, upper", [
+    ("-6", 1), (0, True), (np.nan, 1), (0, np.inf), (0, 10 ** 400),
+], ids=["string", "bool", "nan", "inf", "huge_int"])
+def test_non_real_bounds_rejected(lower, upper):
+    with pytest.raises(GridError, match="must be a finite real number"):
+        build_grid("continuous", lower, upper, 11)
+
+
 def test_too_few_points_rejected():
     with pytest.raises(GridError):
         build_grid("continuous", 0, 1, 2)

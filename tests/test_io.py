@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from equilib import StabilityError, SupportError, io
+from equilib import GridError, StabilityError, SupportError, io
 
 GOLDEN = (
     "x,f,mask\n"
@@ -152,6 +152,13 @@ def test_tabulated_spec_csv_must_be_a_string():
             io.parse_potential({"family": "tabulated", "csv": csv})
 
 
+def test_tabulated_spec_names_a_missing_x_column(tmp_path):
+    path = tmp_path / "u.csv"
+    io.write_table(path, {"U": [0.0, 1.0, 2.0]})
+    with pytest.raises(io.FormatError, match="needs an 'x' column"):
+        io.parse_potential({"family": "tabulated", "csv": str(path)})
+
+
 SIM = {"kind": "sim_config", "potential": {"family": "normal"},
        "grid": {"grid_kind": "continuous", "lower": -3.0, "upper": 3.0,
                 "n_points": 11},
@@ -159,14 +166,16 @@ SIM = {"kind": "sim_config", "potential": {"family": "normal"},
 
 
 @pytest.mark.parametrize("change, message", [
-    ({"dt": "a"}, "sim_config: bad field value"),
-    ({"dt": [1]}, "sim_config: bad field value"),
-    ({"grid": dict(SIM["grid"], lower="a")}, "grid spec: bad field value"),
+    ({"dt": "a"}, "dt must be positive and finite"),
+    ({"dt": [1]}, "dt must be positive and finite"),
+    ({"grid": dict(SIM["grid"], lower="a")}, "lower must be a finite real"),
     ({"potential": {"family": "normal", "mu": "a"}}, "mu must be"),
 ])
 def test_parse_sim_config_maps_bad_values(change, message):
-    with pytest.raises(io.FormatError if "bad" in message else SupportError,
-                       match=message):
+    # the constructor of the part that holds the field raises its own error
+    error = {"dt": StabilityError, "grid": GridError,
+             "potential": SupportError}[next(iter(change))]
+    with pytest.raises(error, match=message):
         io.parse_sim_config(dict(SIM, **change))
 
 
