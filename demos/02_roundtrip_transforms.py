@@ -23,7 +23,7 @@ x = grid.points
 potential = TabulatedPotential(grid=grid, values=(x ** 2 - 2.0) ** 2 / 4.0)
 
 f = normalize(potential, grid)
-print(f"statistical sum Omega = {f.omega:.12g}, k = {f.k:.12g}")
+print(f"ln Omega = {f.log_omega:.12g}, ln k = {-f.log_omega:.12g}")
 print(f"density mass = {grid.quadrature(f.values):.15f}")
 
 # density -> normalized potential; the result is a gauge-fixed copy of

@@ -2,8 +2,7 @@
 
 from .catalog import (FAMILIES, Exponential, Gamma, LinearConstant, Normal,
                       PearsonParams, PearsonPotential, Poisson, UniformLattice,
-                      catalog_equilibrium, make_family, pearson_density,
-                      pearson_intensity)
+                      make_family, pearson_density)
 from .diagnostics import (DecompositionReport, decompose_samples,
                           fisher_information_number, fit_linear_intensity,
                           shannon_entropy)

@@ -294,10 +294,14 @@ FAMILIES = {"uniform": UniformLattice, "exponential": Exponential,
 
 
 def make_family(name: str, params: dict) -> _Family:
-    """Build the family ``name`` from its fields; None values take defaults."""
+    """Build the family ``name`` from its fields; None values take defaults,
+    and a name that is not one of its fields is a FormatError."""
     cls = FAMILIES.get(name)
     if cls is None:
         raise FormatError(f"unknown family {name!r}")
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise FormatError(f"family {name!r} has no fields {unknown}")
     given = {k: v for k, v in params.items() if v is not None}
     missing = [f.name for f in fields(cls)
                if f.default is MISSING and f.name not in given]
@@ -336,20 +340,6 @@ class PearsonParams:
         return self.b0 + self.b1 * x + self.b2 * x * x
 
 
-def pearson_intensity(p: PearsonParams):
-    """Causal intensity function of the Pearson parameter set."""
-    s = -1.0 if p.sign == "standard" else 1.0
-
-    def ec(x):
-        x = _asfloat(x)
-        den = p.denominator(x)
-        if np.any(den == 0.0):
-            raise PotentialError("Pearson denominator vanishes at a point")
-        return s * (x - p.a) / den
-
-    return ec
-
-
 @dataclass(frozen=True)
 class PearsonPotential:
     """Potential spec obtained by integrating a Pearson intensity."""
@@ -357,11 +347,13 @@ class PearsonPotential:
     params: PearsonParams
 
     def intensity_on(self, grid: Grid):
-        den = self.params.denominator(grid.points)
+        p = self.params
+        den = p.denominator(grid.points)
         if np.any(den == 0.0) or np.any(np.sign(den[1:]) != np.sign(den[:-1])):
             raise PotentialError(
                 "Pearson denominator has a root inside the domain")
-        return pearson_intensity(self.params)(grid.points)
+        s = -1.0 if p.sign == "standard" else 1.0
+        return s * (grid.points - p.a) / den
 
     def values_on(self, grid: Grid):
         ec = self.intensity_on(grid)
@@ -388,15 +380,3 @@ def pearson_density(p: PearsonParams, grid: Grid) -> EquilibriumDensity:
     if grid.kind != CONTINUOUS:
         raise PotentialError("Pearson densities need a continuous grid")
     return normalize(PearsonPotential(p), grid)
-
-
-# ---------------------------------------------------------------------------
-# Functional front end
-
-
-def catalog_equilibrium(family: _Family,
-                        grid: Grid | None = None) -> EquilibriumDensity:
-    """Numeric equilibrium density of the family's potential on a grid."""
-    if grid is None:
-        grid = family.default_grid()
-    return normalize(family, grid)

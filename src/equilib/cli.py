@@ -30,6 +30,10 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
 
+# every catalog family's fields, one flag each
+_FAMILY_FIELDS = {f.name: f.type for cls in FAMILIES.values()
+                  for f in fields(cls)}
+
 
 def _add_grid_args(parser, required=False):
     parser.add_argument("--lower", type=float, required=required)
@@ -57,7 +61,8 @@ def _grid_from_args(args) -> Grid | None:
 
 def cmd_catalog(args) -> int:
     family = make_family(args.family, {
-        f.name: getattr(args, f.name) for f in fields(FAMILIES[args.family])})
+        name: getattr(args, name) for name in _FAMILY_FIELDS
+        if getattr(args, name) is not None})
     grid = _grid_from_args(args)
     if grid is None:
         grid = family.default_grid()
@@ -175,7 +180,7 @@ def cmd_maxent(args) -> int:
     io.dump_json(args.out, {
         "kind": "maxent_solution",
         "lambda": solution.lam,
-        "k": solution.k,
+        "log_k": -solution.density.log_omega,
         "residual": solution.residual,
         "iterations": solution.iterations,
         "converged": solution.converged,
@@ -260,9 +265,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("catalog", help="tabulate a closed-form family")
     p.add_argument("--family", required=True, choices=list(FAMILIES))
-    # one flag per family field; unset flags take the dataclass defaults
-    kinds = {f.name: f.type for cls in FAMILIES.values() for f in fields(cls)}
-    for name, kind in kinds.items():
+    # unset flags take the defaults; a flag the family lacks is an error
+    for name, kind in _FAMILY_FIELDS.items():
         aliases = ["--lambda"] if name == "lam" else []
         p.add_argument(f"--{name}", *aliases,
                        type=int if kind == "int" else float)

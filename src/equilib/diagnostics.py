@@ -71,9 +71,13 @@ class DecompositionReport:
     normalized_potential: NormalizedPotentialTable
     stochastic_intensity: IntensityTable
     estimator: str
-    mask: np.ndarray
     n_out_of_range: int
     trim_interval: tuple  # central 80% of in-range sample mass
+
+    @property
+    def mask(self) -> np.ndarray:
+        """True where the potential or the intensity is masked."""
+        return self.normalized_potential.mask | self.stochastic_intensity.mask
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
@@ -147,7 +151,7 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
     O((h / bandwidth)^2) of the direct Gaussian sum.  For a bandwidth far
     below the spacing h it returns the binned spikes, where a direct sum
     would underflow to an identically zero estimate.  The bandwidth must
-    be positive and finite.
+    be positive and finite; each estimator rejects the other's option.
     """
     if grid.kind != CONTINUOUS:
         raise SampleError("decomposition needs a continuous grid")
@@ -162,12 +166,16 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
         raise SampleError("all samples are outside the grid")
 
     if estimator == "histogram":
+        if bandwidth is not None:
+            raise SampleError("bandwidth is an option of the kernel only")
         if bins is None:
             bins = max(10, int(round(np.sqrt(samples.size))))
         require_integer(bins, "bins", SampleError, 1)
         raw = _histogram_density(samples[in_range], grid, bins)
         label = f"histogram(bins={bins})"
     elif estimator == "kernel":
+        if bins is not None:
+            raise SampleError("bins is an option of the histogram only")
         if bandwidth is None:
             bandwidth = _silverman_bandwidth(samples)
         require_real(bandwidth, "bandwidth", SampleError, positive=True)
@@ -185,7 +193,6 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
         normalized_potential=upot,
         stochastic_intensity=es,
         estimator=label,
-        mask=upot.mask | es.mask,
         n_out_of_range=n_out,
         trim_interval=(float(q10), float(q90)),
     )

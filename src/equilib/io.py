@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from dataclasses import fields
 from io import StringIO
 from itertools import chain
 
@@ -206,18 +205,15 @@ def parse_potential(obj: dict):
         raise FormatError("a potential spec must be a JSON object with a "
                           "string 'family'")
     family = obj["family"]
-    if family in FAMILIES:
-        allowed = {f.name for f in fields(FAMILIES[family])}
-    elif family in _SPEC_FIELDS:
-        allowed = _SPEC_FIELDS[family]
-    else:
-        raise FormatError(f"unknown potential family {family!r}")
     what = f"potential spec '{family}'"
-    _check_fields(obj, allowed | {"kind", "family"}, what)
+    if family in FAMILIES:  # make_family checks the field names
+        with _spec_errors(what):
+            return make_family(family, {k: v for k, v in obj.items()
+                                        if k not in ("kind", "family")})
+    if family not in _SPEC_FIELDS:
+        raise FormatError(f"unknown potential family {family!r}")
+    _check_fields(obj, _SPEC_FIELDS[family] | {"kind", "family"}, what)
     with _spec_errors(what):
-        if family in FAMILIES:
-            return make_family(family,
-                               {k: obj[k] for k in allowed if k in obj})
         if family == "pearson":
             return PearsonPotential(PearsonParams(
                 a=obj["a"], b0=obj["b0"], b1=obj["b1"], b2=obj["b2"],
@@ -259,6 +255,7 @@ def load_spec(path) -> dict:
 
 
 def dump_json(path, obj: dict):
+    """Write strict JSON; a NaN or infinity raises before the file opens."""
+    text = json.dumps(obj, allow_nan=False, indent=2, sort_keys=True)
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+        fh.write(text + "\n")

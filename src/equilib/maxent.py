@@ -42,7 +42,6 @@ class MaxEntProblem:
 @dataclass(frozen=True)
 class MaxEntSolution:
     lam: float
-    k: float
     density: EquilibriumDensity
     normalized_potential: NormalizedPotentialTable
     iterations: int
@@ -135,7 +134,6 @@ def solve_maxent(p: MaxEntProblem) -> MaxEntSolution:
     )
     return MaxEntSolution(
         lam=lam,
-        k=f.k,
         density=f,
         normalized_potential=upot,
         iterations=iterations,

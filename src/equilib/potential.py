@@ -120,16 +120,17 @@ class PolynomialPotential:
 class EquilibriumDensity(_Table):
     """Normalized density (continuous) or pmf (lattice) on a grid.
 
-    ``omega`` is the statistical sum of the generating potential and
-    ``k = 1/omega`` its normalizing constant.  Densities built directly from
-    data (histograms, estimates) use the gauge omega = k = 1 (``from_table``).
+    ``log_omega`` is ln Omega = -ln k, the log statistical sum of the
+    generating potential (Omega leaves the float range once |min U| > ~700).
+    Densities built directly from data (histograms, estimates) use the
+    gauge log_omega = 0 (``from_table``).
     """
 
-    omega: float
-    k: float
+    log_omega: float
 
     def __post_init__(self):
         super().__post_init__()
+        require_real(self.log_omega, "log_omega", NonNormalizableError)
         vals = self.values
         if np.any(vals < 0) or not np.all(np.isfinite(vals)):
             raise NonNormalizableError("density values must be finite and >= 0")
@@ -139,13 +140,13 @@ class EquilibriumDensity(_Table):
 
     @classmethod
     def from_table(cls, grid: Grid, values) -> "EquilibriumDensity":
-        """Normalize a raw non-negative table, in the gauge omega = k = 1."""
+        """Normalize a raw non-negative table, in the gauge log_omega = 0."""
         values = np.asarray(values, dtype=float)
         total = grid.quadrature(values)
         if not (total > 0.0 and np.isfinite(total)):
             raise NonNormalizableError(
                 f"table has zero or non-finite mass ({total})")
-        return cls(grid=grid, values=values / total, omega=1.0, k=1.0)
+        return cls(grid=grid, values=values / total, log_omega=0.0)
 
 
 @dataclass(frozen=True)
@@ -166,12 +167,14 @@ class IntensityTable(_Table):
 
 
 @dataclass(frozen=True)
-class ResidualReport:
-    """Force-balance residual E_s + E_c with its masked-point bookkeeping."""
+class ResidualReport(_Table):
+    """Force-balance residual E_s + E_c; NaN where either side is masked."""
 
-    max_abs: float
-    table: np.ndarray
-    mask: np.ndarray
+    @property
+    def max_abs(self) -> float:
+        """Largest |E_s + E_c| over the unmasked points; NaN if none is."""
+        live = np.abs(self.values[~self.mask])
+        return float(np.max(live)) if live.size else np.nan
 
 
 # ---------------------------------------------------------------------------
@@ -212,12 +215,10 @@ def _log_partition(U, grid: Grid):
 
 
 def normalize(U, grid: Grid) -> EquilibriumDensity:
-    """Equilibrium density k e^(-U) on the grid."""
+    """Equilibrium density k e^(-U) on the grid, with ln Omega = -ln k."""
     _, vmin, expv, omega_shifted = _log_partition(U, grid)
-    density = expv / omega_shifted
-    omega = omega_shifted * np.exp(-vmin)
-    return EquilibriumDensity(grid=grid, values=density, omega=omega,
-                              k=1.0 / omega)
+    return EquilibriumDensity(grid=grid, values=expv / omega_shifted,
+                              log_omega=float(np.log(omega_shifted)) - vmin)
 
 
 def normalized_potential(U, grid: Grid) -> NormalizedPotentialTable:
@@ -270,7 +271,5 @@ def density_from_intensity(E: IntensityTable) -> EquilibriumDensity:
 def equilibrium_residual(f: EquilibriumDensity, U) -> ResidualReport:
     """Pointwise E_s + E_c, NaN where either intensity is masked; zero (to
     truncation error) at equilibrium."""
-    table = stochastic_intensity(f).values + causal_intensity(U, f.grid).values
-    mask = np.isnan(table)
-    max_abs = float(np.max(np.abs(table[~mask]))) if not mask.all() else np.nan
-    return ResidualReport(max_abs=max_abs, table=table, mask=mask)
+    return ResidualReport(grid=f.grid, values=stochastic_intensity(f).values
+                          + causal_intensity(U, f.grid).values)

@@ -13,7 +13,7 @@ import numpy as np
 from equilib import (Exponential, Gamma, LinearConstant, MaxEntProblem,
                      MomentRangeError, Normal, PearsonParams, Poisson,
                      PolynomialPotential, SimConfig, TabulatedPotential,
-                     UniformLattice, build_grid, catalog_equilibrium, cli,
+                     UniformLattice, build_grid, cli,
                      decompose_samples, equilibrium_residual,
                      fisher_information_number, fit_linear_intensity, io,
                      normalize, pearson_density, shannon_entropy, simulate,
@@ -70,10 +70,10 @@ def test_equilibrium_residual_order():
         maxima = []
         for n in (3001, 6001):  # spacing 4e-3 then 2e-3
             grid = build_grid("continuous", lo, hi, n)
-            rep = equilibrium_residual(catalog_equilibrium(fam, grid), fam)
+            rep = equilibrium_residual(normalize(fam, grid), fam)
             interior = ~rep.mask
             interior[0] = interior[-1] = False
-            maxima.append(float(np.max(np.abs(rep.table[interior]))))
+            maxima.append(float(np.max(np.abs(rep.values[interior]))))
         assert maxima[0] <= 1e-3, type(fam).__name__
         assert maxima[0] / maxima[1] >= 3.5, type(fam).__name__
     assert time.perf_counter() - start < 1.0
@@ -138,16 +138,17 @@ def test_entropy_identity():
                 LinearConstant(2.0, 1.0), Gamma(0.5, 1.0), Gamma(3.0, 2.0),
                 UniformLattice(8), Poisson(2.0)]
     for fam in families:
-        f = catalog_equilibrium(fam)
+        f = normalize(fam, fam.default_grid())
         w, vals = f.grid.weights, f.values
         live = vals > 0
         direct = -float(np.sum((w * vals * np.log(vals))[live]))
         mean_pot = float(np.sum((w * vals * -np.log(vals))[live]))
         assert abs(direct - mean_pot) <= 1e-9, type(fam).__name__
         assert abs(shannon_entropy(f) - direct) <= 1e-9, type(fam).__name__
-    assert abs(shannon_entropy(catalog_equilibrium(UniformLattice(8)))
+    uniform, normal = UniformLattice(8), Normal(0.0, 1.0)
+    assert abs(shannon_entropy(normalize(uniform, uniform.default_grid()))
                - np.log(8.0)) <= 1e-12
-    assert abs(shannon_entropy(catalog_equilibrium(Normal(0.0, 1.0)))
+    assert abs(shannon_entropy(normalize(normal, normal.default_grid()))
                - 0.5 * np.log(2 * np.pi * np.e)) <= 1e-6
 
 
@@ -162,7 +163,7 @@ def test_fisher_identity():
         def log_omega(l):
             f = normalize(TabulatedPotential(grid=grid, values=l * uvals),
                           grid)
-            return np.log(f.omega)
+            return f.log_omega
 
         for lam in lams:
             fd = (log_omega(lam + eps) - 2 * log_omega(lam)

@@ -6,9 +6,8 @@ import pytest
 from equilib import (Exponential, Gamma, IntensityTable, LinearConstant,
                      NonNormalizableError, Normal, PearsonParams, Poisson,
                      PotentialError, SupportError, UniformLattice, build_grid,
-                     catalog, catalog_equilibrium, density_from_intensity,
-                     normalize, pearson_density, pearson_intensity,
-                     stochastic_intensity)
+                     PearsonPotential, catalog, density_from_intensity,
+                     normalize, pearson_density, stochastic_intensity)
 from equilib.catalog import FAMILIES, make_family
 from equilib.errors import FormatError
 
@@ -129,7 +128,7 @@ def test_analytic_intensity_matches_numeric(fam):
         grid = build_grid("continuous", 0.5, 16.5, 4001)
     else:
         grid = fam.default_grid()
-    f = catalog_equilibrium(fam, grid)
+    f = normalize(fam, grid)
     es = stochastic_intensity(f)
     interior = ~es.mask
     interior[0] = interior[-1] = False
@@ -142,7 +141,7 @@ def test_poisson_lattice_log_difference():
     lam = 2.0
     fam = Poisson(lam)
     grid = fam.default_grid()
-    f = catalog_equilibrium(fam, grid)
+    f = normalize(fam, grid)
     es = stochastic_intensity(f)
     ok = ~es.mask
     x = grid.points[ok]
@@ -190,12 +189,14 @@ def test_default_grids_capture_mass():
 
 def test_pearson_standard_sign_normal_intensity():
     p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="standard")
-    assert pearson_intensity(p)(2.0) == pytest.approx(-2.0)
+    grid = build_grid("continuous", 0.0, 4.0, 5)  # grid.points[2] == 2.0
+    assert PearsonPotential(p).intensity_on(grid)[2] == pytest.approx(-2.0)
 
 
 def test_pearson_paper_sign_literal():
     p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="paper")
-    assert pearson_intensity(p)(2.0) == pytest.approx(2.0)
+    grid = build_grid("continuous", 0.0, 4.0, 5)  # grid.points[2] == 2.0
+    assert PearsonPotential(p).intensity_on(grid)[2] == pytest.approx(2.0)
 
 
 def test_pearson_denominator_root_rejected():
@@ -223,7 +224,7 @@ def test_pearson_paper_sign_not_normalizable():
 
 def test_catalog_equilibrium_matches_closed_form():
     for fam in [Exponential(1.0), Normal(0, 1)]:
-        f = catalog_equilibrium(fam)
+        f = normalize(fam, fam.default_grid())
         exact = fam.density(f.grid.points)
         assert np.max(np.abs(f.values - exact)) < 2e-5, type(fam).__name__
 
@@ -277,6 +278,8 @@ def test_make_family_reports_missing_and_unknown():
         make_family("gamma", {"beta": 1.0, "alpha": None})
     with pytest.raises(FormatError, match="unknown family"):
         make_family("cauchy", {})
+    with pytest.raises(FormatError, match=r"no fields \['n'\]"):
+        make_family("normal", {"n": 5})
 
 
 def test_poisson_default_grid_rejects_inexact_lattice():
@@ -312,12 +315,12 @@ def test_gamma_default_grid_rejects_overflowing_scale(alpha, beta):
 def test_pearson_density_equals_integrated_intensity():
     p = PearsonParams(a=0.5, b0=2.0, b1=0.1, b2=0.0)
     grid = build_grid("continuous", -6.0, 7.0, 1301)
-    table = IntensityTable(grid=grid, values=pearson_intensity(p)(grid.points),
-                           kind="causal")
+    table = IntensityTable(grid=grid, kind="causal",
+                           values=PearsonPotential(p).intensity_on(grid))
     expected = density_from_intensity(table)
     got = pearson_density(p, grid)
     assert np.array_equal(got.values, expected.values)
-    assert got.omega == expected.omega
+    assert got.log_omega == expected.log_omega
 
 
 def test_pearson_density_needs_continuous_grid():

@@ -91,6 +91,17 @@ def test_catalog_non_finite_parameter_exits_2(tmp_path, capsys, family,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["--family", "normal", "--n", 5],
+    ["--family", "poisson", "--lam", 3, "--mu", 2],
+])
+def test_catalog_flag_of_another_family_exits_2(tmp_path, capsys, argv):
+    out = tmp_path / "c.csv"
+    assert run("catalog", *argv, "--out", out) == 2
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_catalog_poisson_huge_lambda_exits_2(tmp_path, capsys):
     out = tmp_path / "p.csv"
     assert run("catalog", "--family", "poisson", "--lam", "1e300",
@@ -401,6 +412,21 @@ def test_maxent_recovers_rate(tmp_path, capsys):
     assert {"x", "f", "U_tilde"} <= set(csv_table)
 
 
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def test_maxent_json_is_strict_when_k_overflows(tmp_path, capsys):
+    # lambda * min u passes 709, so k = 1/Omega itself would be inf
+    out = tmp_path / "sol.json"
+    assert run("maxent", "--u", "x + 1000", "--moment", 1000.05,
+               "--lower", 0, "--upper", 10, "--points", 1001,
+               "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    sol = json.loads(out.read_text(), parse_constant=_reject_constant)
+    assert "k" not in sol and np.isfinite(sol["log_k"]) and sol["log_k"] > 709
+
+
 def test_maxent_from_samples(tmp_path):
     rng = np.random.default_rng(12)
     samples = rng.exponential(0.5, 20_000)
@@ -512,6 +538,17 @@ def test_simulate_reproducible_bytes(tmp_path, capsys):
     assert res["rng_algorithm"] == "philox4x64"
     assert res["tv_distance"] < 0.1
     assert "tv_distance = " in capsys.readouterr().out
+
+
+def test_simulate_high_potential_floor_runs_quietly(tmp_path, capsys):
+    # U = 800 + x^2: the statistical sum is e^-800 times a finite sum
+    cfg = dict(SIM_CONFIG, n_steps=2000, burn_in=200,
+               potential={"family": "polynomial", "coeffs": [800, 0, 1]})
+    out = tmp_path / "res.json"
+    assert run("simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+               "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    json.loads(out.read_text(), parse_constant=_reject_constant)
 
 
 def test_simulate_unstable_config_exits_2(tmp_path):
@@ -640,3 +677,18 @@ def test_decompose_invalid_bandwidth_exits_2(tmp_path, capsys, bandwidth):
                "--lower", -2, "--upper", 2, "--points", 101,
                "--out", tmp_path / "dec.csv") == 2
     assert "bandwidth must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--bins", 7],
+    ["--estimator", "histogram", "--bandwidth", 0.3],
+])
+def test_decompose_option_of_the_other_estimator_exits_2(tmp_path, capsys,
+                                                         flags):
+    path = tmp_path / "samples.csv"
+    io.write_table(path, {"x": np.linspace(-1, 1, 200)})
+    out = tmp_path / "dec.csv"
+    assert run("decompose", "--samples", path, *flags, "--lower", -2,
+               "--upper", 2, "--points", 101, "--out", out) == 2
+    assert _one_line_error(capsys)
+    assert not out.exists()

@@ -159,6 +159,20 @@ def test_tabulated_spec_names_a_missing_x_column(tmp_path):
         io.parse_potential({"family": "tabulated", "csv": str(path)})
 
 
+def test_family_spec_rejects_a_field_of_another_family():
+    for value in (5, None):
+        with pytest.raises(io.FormatError, match=r"no fields \['n'\]"):
+            io.parse_potential({"family": "normal", "n": value})
+
+
+def test_dump_json_rejects_non_finite_before_opening(tmp_path):
+    path = tmp_path / "out.json"
+    for value in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            io.dump_json(path, {"kind": "x", "value": value})
+        assert not path.exists()
+
+
 SIM = {"kind": "sim_config", "potential": {"family": "normal"},
        "grid": {"grid_kind": "continuous", "lower": -3.0, "upper": 3.0,
                 "n_points": 11},

@@ -75,7 +75,7 @@ def test_two_point_lattice_symmetry():
 def test_theorem_form_of_normalized_potential():
     g = build_grid("continuous", 0, 40, 4001)
     sol = solve_maxent(MaxEntProblem(u=X, grid=g, target_moment=0.5))
-    expected = sol.lam * g.points - np.log(sol.k)
+    expected = sol.lam * g.points + sol.density.log_omega
     assert np.max(np.abs(sol.normalized_potential.values - expected)) <= 1e-12
 
 

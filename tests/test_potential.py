@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,10 +7,11 @@ from hypothesis import strategies as st
 
 from equilib import (EquilibriumDensity, Exponential, IntensityTable, Normal,
                      NormalizedPotentialTable, Poisson, PotentialError,
-                     TabulatedPotential, build_grid, causal_intensity,
-                     density_from_intensity, equilibrium_residual,
-                     eval_potential, normalize, normalized_potential,
-                     potential_of_density, stochastic_intensity)
+                     ResidualReport, TabulatedPotential, build_grid,
+                     causal_intensity, density_from_intensity,
+                     equilibrium_residual, eval_potential, normalize,
+                     normalized_potential, potential_of_density,
+                     stochastic_intensity)
 
 SQRT_2PI = 2.5066282746310002  # sqrt(2*pi)
 
@@ -23,11 +26,12 @@ def harmonic(grid):
 TABLES = {
     "TabulatedPotential": lambda g, v: TabulatedPotential(grid=g, values=v),
     "EquilibriumDensity": lambda g, v: EquilibriumDensity(
-        grid=g, values=v, omega=1.0, k=1.0),
+        grid=g, values=v, log_omega=0.0),
     "NormalizedPotentialTable": lambda g, v: NormalizedPotentialTable(
         grid=g, values=v),
     "IntensityTable": lambda g, v: IntensityTable(grid=g, values=v,
                                                   kind="causal"),
+    "ResidualReport": lambda g, v: ResidualReport(grid=g, values=v),
 }
 
 
@@ -91,8 +95,8 @@ def test_tabulated_rejects_nonfinite():
 def test_uniform_lattice_statistical_sum():
     g = build_grid("lattice", 1, 4, 4)
     f = normalize(TabulatedPotential(grid=g, values=np.zeros(4)), g)
-    assert f.omega == pytest.approx(4.0, abs=1e-14)
-    assert f.k == pytest.approx(0.25, abs=1e-14)
+    assert math.exp(f.log_omega) == pytest.approx(4.0, abs=1e-14)
+    assert math.exp(-f.log_omega) == pytest.approx(0.25, abs=1e-14)
     assert np.allclose(f.values, 0.25, atol=1e-14)
 
 
@@ -101,14 +105,26 @@ def test_harmonic_statistical_sum_is_sqrt_2pi():
     f = normalize(harmonic(g), g)
     # quadrature oracle of int exp(-x^2/2): trapezoid on a rapidly decaying
     # integrand is spectrally accurate, so the closed form is hit hard
-    assert f.omega == pytest.approx(SQRT_2PI, abs=1e-10)
+    assert math.exp(f.log_omega) == pytest.approx(SQRT_2PI, abs=1e-10)
 
 
 def test_exponential_statistical_sum():
     g = build_grid("continuous", 0, 40, 4001)
     f = normalize(TabulatedPotential(grid=g, values=g.points), g)
     # int_0^inf e^(-x) dx = 1; truncation below e^(-40), trapezoid O(h^2)
-    assert f.omega == pytest.approx(1.0, abs=1e-5)
+    assert math.exp(f.log_omega) == pytest.approx(1.0, abs=1e-5)
+
+
+@pytest.mark.parametrize("kind", ["continuous", "lattice"])
+@pytest.mark.parametrize("level", [800.0, -800.0])
+def test_statistical_sum_beyond_the_float_range(kind, level):
+    # Omega = e^(-level) * sum(w) leaves the float range; its log does not,
+    # and no RuntimeWarning (an error under pytest) is raised
+    g = build_grid(kind, 0, 10, 11)
+    f = normalize(TabulatedPotential(grid=g, values=np.full(11, level)), g)
+    assert f.log_omega == pytest.approx(
+        np.log(g.quadrature(np.ones(11))) - level, abs=1e-12)
+    assert np.allclose(f.values, 1.0 / g.quadrature(np.ones(11)))
 
 
 def test_density_always_normalized():
@@ -170,7 +186,7 @@ def test_standard_normal_center_value():
 def test_zero_density_point_masked():
     g = build_grid("lattice", 1, 4, 4)
     f = EquilibriumDensity(grid=g, values=np.array([0.0, 0.5, 0.3, 0.2]),
-                           omega=1.0, k=1.0)
+                           log_omega=0.0)
     table = potential_of_density(f)
     assert table.mask[0] and not table.mask[1:].any()
     assert np.isnan(table.values[0])
@@ -212,7 +228,7 @@ def test_exponential_intensity_is_rate():
 def test_lattice_intensity_forward_log_difference():
     g = build_grid("lattice", 0, 3, 4)
     vals = np.array([0.4, 0.3, 0.2, 0.1])
-    f = EquilibriumDensity(grid=g, values=vals, omega=1.0, k=1.0)
+    f = EquilibriumDensity(grid=g, values=vals, log_omega=0.0)
     es = stochastic_intensity(f)
     assert es.mask[-1]
     expected = -(np.log(vals[1:]) - np.log(vals[:-1]))
@@ -314,7 +330,7 @@ def test_mismatched_pair_flagged():
     interior = ~rep.mask
     interior[0] = interior[-1] = False
     # E_s = 1, E_c = -2: residual magnitude 1 in the interior
-    assert np.max(np.abs(np.abs(rep.table[interior]) - 1.0)) < 1e-2
+    assert np.max(np.abs(np.abs(rep.values[interior]) - 1.0)) < 1e-2
     assert rep.max_abs > 0.9
 
 
@@ -421,7 +437,9 @@ def test_lattice_transforms_roundtrip(U):
         assert table.mask.tolist() == [False] * (g.n_points - 1) + [True]
         back = density_from_intensity(table)
         assert np.max(np.abs(back.values - f.values)) <= LATTICE_TOL
-    assert equilibrium_residual(f, U).max_abs <= LATTICE_TOL
+    rep = equilibrium_residual(f, U)
+    assert rep.max_abs <= LATTICE_TOL
+    assert np.array_equal(rep.mask, np.isnan(rep.values)) and rep.mask[-1]
 
 
 # U = a cos(b x + c) + x^2 / 4 on [-3, 3]: |U'''| <= |a| b^3 <= 16 and U

@@ -40,18 +40,18 @@ def test_tv_disjoint_point_masses():
     # lattice with disjoint unit masses
     g = build_grid("lattice", 0, 2, 3)
     p = EquilibriumDensity(grid=g, values=np.array([1.0, 0.0, 0.0]),
-                           omega=1.0, k=1.0)
+                           log_omega=0.0)
     q = EquilibriumDensity(grid=g, values=np.array([0.0, 0.0, 1.0]),
-                           omega=1.0, k=1.0)
+                           log_omega=0.0)
     assert tv_distance(p, q) == 1.0
 
 
 def test_tv_uniform_vs_skewed():
     g = build_grid("lattice", 0, 2, 3)
     p = EquilibriumDensity(grid=g, values=np.array([0.5, 0.5, 0.0]),
-                           omega=1.0, k=1.0)
+                           log_omega=0.0)
     q = EquilibriumDensity(grid=g, values=np.array([0.75, 0.25, 0.0]),
-                           omega=1.0, k=1.0)
+                           log_omega=0.0)
     assert tv_distance(p, q) == pytest.approx(0.25)
 
 
