@@ -370,13 +370,8 @@ class PearsonPotential:
 
 
 def pearson_density(p: PearsonParams, grid: Grid) -> EquilibriumDensity:
-    """Grid density generated by the Pearson intensity.
-
-    The log-density slope is the intensity itself; if it points outward at
-    either grid edge the implied density keeps growing beyond the grid, so
-    the truncation would silently hide a non-normalizable tail.  Such
-    parameter sets are rejected instead.
-    """
+    """Grid density generated by the Pearson intensity; a slope pointing
+    outward at a grid edge is rejected (see ``PearsonPotential``)."""
     if grid.kind != CONTINUOUS:
         raise PotentialError("Pearson densities need a continuous grid")
     return normalize(PearsonPotential(p), grid)

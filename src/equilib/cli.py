@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 input/precondition error, 3 infeasible problem.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from dataclasses import fields
 
@@ -29,6 +30,7 @@ from .simulate import simulate
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_INFEASIBLE = 3
+_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?")
 
 # every catalog family's fields, one flag each
 _FAMILY_FIELDS = {f.name: f.type for cls in FAMILIES.values()
@@ -256,8 +258,27 @@ def cmd_decompose(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A usage error is one line and exit code 2, through ``main``."""
+        raise io.FormatError(message)
+
+
+def _glue_negative_values(argv):
+    """``--lower -1e3`` -> ``--lower=-1e3``: argparse reads '-1e3' as an
+    option.  Every long option but --help takes a value."""
+    out = []
+    for arg in argv:
+        if (out and out[-1][:2] == "--" and "=" not in out[-1]
+                and out[-1] != "--help" and _NEGATIVE.fullmatch(arg)):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="equilib",
         description="Potentials, equilibrium densities and intensities",
     )
@@ -320,9 +341,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
     try:
+        args = build_parser().parse_args(_glue_negative_values(argv))
         return args.func(args)
     except (MomentRangeError, NonNormalizableError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -145,13 +145,11 @@ def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
 
     The revealed causal intensity is -E_s by the equilibrium identity.
     Out-of-range samples are excluded from histograms but counted and
-    reported; the kernel estimator uses every sample within 8 bandwidths
-    of the grid.  The kernel estimate is linear-binned and FFT-convolved:
-    O(N + (M + 2 pad) log(M + 2 pad)) for N samples on M points, within
-    O((h / bandwidth)^2) of the direct Gaussian sum.  For a bandwidth far
-    below the spacing h it returns the binned spikes, where a direct sum
-    would underflow to an identically zero estimate.  The bandwidth must
-    be positive and finite; each estimator rejects the other's option.
+    reported; the kernel estimator (see the module docstring) uses every
+    sample within 8 bandwidths of the grid.  For a bandwidth far below the
+    spacing it returns the binned spikes, where a direct sum would
+    underflow to an identically zero estimate.  The bandwidth must be
+    positive and finite; each estimator rejects the other's option.
     """
     if grid.kind != CONTINUOUS:
         raise SampleError("decomposition needs a continuous grid")

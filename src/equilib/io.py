@@ -145,12 +145,7 @@ def parse_polynomial(text: str) -> PolynomialPotential:
             raise FormatError(f"cannot parse potential expression {text!r}")
         sign = -1.0 if m.group(1) == "-" else 1.0
         coef = float(m.group(2)) if m.group(2) is not None else 1.0
-        if m.group(3) is None:
-            power = 0
-        elif m.group(4) is None:
-            power = 1
-        else:
-            power = int(m.group(4))
+        power = 0 if m.group(3) is None else int(m.group(4) or 1)
         coeffs[power] = coeffs.get(power, 0.0) + sign * coef
         pos = m.end()
         while pos < len(text) and text[pos].isspace():

@@ -103,6 +103,8 @@ class PolynomialPotential:
             require_real(c, f"coeffs[{j}]", PotentialError)
         object.__setattr__(self, "coeffs",
                            tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "_dcoeffs", np.polynomial.polynomial.polyder(
+            self.coeffs).tolist())
 
     def at(self, x):
         x = np.asarray(x, dtype=float)
@@ -111,9 +113,19 @@ class PolynomialPotential:
     def values_on(self, grid: Grid) -> np.ndarray:
         return self.at(grid.points)
 
+    def intensity(self, x):
+        """-U'(x) by in-place Horner, with the bits of -polyval(x, U')."""
+        x = np.asarray(x, dtype=float)
+        out = x * 0.0
+        out += self._dcoeffs[-1]
+        for c in self._dcoeffs[-2::-1]:
+            out *= x
+            out += c
+        out *= -1.0
+        return out
+
     def intensity_on(self, grid: Grid) -> np.ndarray:
-        dcoeffs = np.polynomial.polynomial.polyder(self.coeffs)
-        return -np.polynomial.polynomial.polyval(grid.points, dcoeffs)
+        return self.intensity(grid.points)
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,21 @@
 """Stochastic-dynamics verification of the Boltzmann equilibrium.
 
 Overdamped Euler-Maruyama with unit diffusion: the drift is the causal
-intensity -dU/dx and the stationary density of the continuous dynamics is
-exactly k e^(-U), so the long-run histogram must converge to the
-quadrature density.  Chains reflect at the grid bounds and draw their
-noise from per-chain Philox streams derived deterministically from
-(seed, chain index), making every run bit-reproducible.
+intensity -dU/dx (the closed-form ``intensity`` of a catalog family or a
+polynomial, else the tabulated -U' interpolated on the grid) and the
+stationary density of the continuous dynamics is exactly k e^(-U), so the
+long-run histogram must converge to the quadrature density.  Chains
+reflect at the grid bounds and draw their noise from per-chain Philox
+streams derived deterministically from (seed, chain index), making every
+run bit-reproducible.
 
 Noise is drawn and visits are counted in blocks of steps, so memory is
 O(chains x block + points) and ``n_steps`` has no memory ceiling: a huge
 run takes long rather than failing to allocate.  Block draws from one
 Philox stream equal one large draw and integer counts sum exactly, so the
-result's bits do not depend on the block size.
+result's bits do not depend on the block size.  A block's scaled kicks
+fill the path buffer, whose row t each step overwrites in place with its
+new positions.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ import numpy as np
 from .catalog import _Family
 from .errors import GridError, StabilityError, require_integer, require_real
 from .grid import CONTINUOUS, Grid
-from .potential import EquilibriumDensity, causal_intensity, normalize
+from .potential import (EquilibriumDensity, PolynomialPotential,
+                        causal_intensity, normalize)
 
 RNG_ALGORITHM = "philox4x64"
 STABILITY_LIMIT = 0.5
@@ -68,12 +73,6 @@ def tv_distance(p: EquilibriumDensity, q: EquilibriumDensity) -> float:
     return 0.5 * p.grid.quadrature(np.abs(p.values - q.values))
 
 
-def _reflect(x, lower, upper):
-    period = 2.0 * (upper - lower)
-    y = np.mod(x - lower, period)
-    return lower + np.minimum(y, period - y)
-
-
 def _chain_rng(seed: int, chain: int) -> np.random.Generator:
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(chain,))
     return np.random.Generator(np.random.Philox(seq))
@@ -96,9 +95,9 @@ def simulate(config: SimConfig) -> SimResult:
             f"{STABILITY_LIMIT} stability guard"
         )
 
-    # closed-form drift for catalog families, else interpolate the table
+    # closed-form drift where the potential has one, else interpolate
     drift = (config.potential.intensity
-             if isinstance(config.potential, _Family)
+             if isinstance(config.potential, (_Family, PolynomialPotential))
              else lambda x: np.interp(x, grid.points, ec.values))
 
     rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
@@ -110,15 +109,25 @@ def simulate(config: SimConfig) -> SimResult:
     block = min(config.n_steps, max(1, BLOCK_ELEMENTS // config.n_chains))
     noise = np.empty((config.n_chains, block))
     path = np.empty((block, config.n_chains))
-    amp = np.sqrt(2.0 * config.dt)
+    y, z = np.empty(config.n_chains), np.empty(config.n_chains)
+    amp, dt = np.sqrt(2.0 * config.dt), config.dt
+    lower, period = grid.lower, 2.0 * (grid.upper - grid.lower)
     for start in range(0, config.n_steps, block):
         m = min(block, config.n_steps - start)
         for rng, row in zip(rngs, noise):
             rng.standard_normal(out=row[:m])
-        for t in range(m):
-            x = x + drift(x) * config.dt + amp * noise[:, t]
-            x = _reflect(x, grid.lower, grid.upper)
-            path[t] = x
+        np.multiply(noise[:, :m].T, amp, out=path[:m])
+        for row in path[:m]:
+            # (x + E dt) + kick, folded back into [lower, upper]
+            np.multiply(drift(x), dt, out=y)
+            np.add(x, y, out=y)
+            np.add(y, row, out=y)
+            np.subtract(y, lower, out=y)
+            np.mod(y, period, out=y)
+            np.subtract(period, y, out=z)
+            np.minimum(y, z, out=y)
+            x = np.add(lower, y, out=row)
+        x = x.copy()  # the next block's kicks overwrite this row
         # burn-in may end mid-block; integer counts merge exactly
         skip = max(0, config.burn_in - start)
         counts += np.histogram(path[skip:m], bins=edges)[0]

@@ -102,6 +102,30 @@ def test_catalog_flag_of_another_family_exits_2(tmp_path, capsys, argv):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--family", "normal", "--mu", "-1e3", "--lower", "-1.005e3",
+     "--upper", "-9.95e2", "--points", 11],
+    ["maxent", "--u", "x", "--moment", 0.5, "--lower", "-1e-05",
+     "--upper", 10, "--points", 101],
+])
+def test_exponent_notation_negatives_are_values(tmp_path, argv):
+    # '%.17g' writes such numbers; argparse alone reads them as options
+    out = tmp_path / "out"
+    assert run(*argv, "--out", out) == 0
+    assert out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["catalog", "--family", "bogus"],
+    ["catalog", "--family", "normal", "--mu", "-1e3", "-1e3", "--out", "n"],
+    ["simulate", "--config"],
+    ["transform"],
+])
+def test_usage_error_is_one_line_exit_2(capsys, argv):
+    assert run(*argv) == 2
+    assert _one_line_error(capsys)
+
+
 def test_catalog_poisson_huge_lambda_exits_2(tmp_path, capsys):
     out = tmp_path / "p.csv"
     assert run("catalog", "--family", "poisson", "--lam", "1e300",

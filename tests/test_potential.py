@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from equilib import (EquilibriumDensity, Exponential, IntensityTable, Normal,
-                     NormalizedPotentialTable, Poisson, PotentialError,
-                     ResidualReport, TabulatedPotential, build_grid,
-                     causal_intensity, density_from_intensity,
+                     NormalizedPotentialTable, Poisson, PolynomialPotential,
+                     PotentialError, ResidualReport, TabulatedPotential,
+                     build_grid, causal_intensity, density_from_intensity,
                      equilibrium_residual, eval_potential, normalize,
                      normalized_potential, potential_of_density,
                      stochastic_intensity)
@@ -256,6 +256,31 @@ def test_linear_potential_constant_intensity():
     g = build_grid("continuous", 0, 10, 101)
     ec = causal_intensity(Exponential(a=2.0), g)
     assert np.allclose(ec.values, -2.0, atol=1e-12)
+
+
+def _polyval_intensity(coeffs, x):
+    P = np.polynomial.polynomial
+    return -P.polyval(x, P.polyder(coeffs))
+
+
+def test_polynomial_intensity_matches_polyval_of_polyder():
+    rng = np.random.default_rng(12)
+    x = np.concatenate((rng.uniform(-5, 5, 64), [-0.0, 0.0, -1.0, 1.0]))
+    for degree in range(8):
+        for _ in range(12):
+            coeffs = tuple(rng.normal(scale=3.0, size=degree + 1))
+            got = PolynomialPotential(coeffs).intensity(x)
+            assert np.array_equal(got, _polyval_intensity(coeffs, x))
+
+
+@pytest.mark.parametrize("coeffs", [(-3.0,), (2.0,), (0.0, -1.5),
+                                    (1.0, 0.0, -1.0, 0.0, 0.25)])
+def test_polynomial_intensity_on_keeps_its_bits(coeffs):
+    # a negative constant gives -0.0 at x >= 0 and +0.0 below
+    g = build_grid("continuous", -2, 2, 9)
+    got = PolynomialPotential(coeffs).intensity_on(g)
+    want = _polyval_intensity(coeffs, g.points)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
-                     LinearConstant, Normal, SimConfig, StabilityError,
-                     TabulatedPotential, build_grid, normalize, simulate,
-                     tv_distance)
+                     LinearConstant, Normal, PolynomialPotential, SimConfig,
+                     StabilityError, TabulatedPotential, build_grid,
+                     normalize, simulate, tv_distance)
 from equilib.catalog import _Family
 from equilib.potential import causal_intensity
-from equilib.simulate import _chain_rng, _reflect
+from equilib.simulate import _chain_rng
 
 SIM_MODULE = importlib.import_module("equilib.simulate")
 
@@ -159,12 +159,18 @@ def test_stability_margin_is_dt_times_max_intensity():
 # streaming in blocks against the whole-array loop
 
 
+def _reflect(x, lower, upper):
+    period = 2.0 * (upper - lower)
+    y = np.mod(x - lower, period)
+    return lower + np.minimum(y, period - y)
+
+
 def _reference_simulate(config):
     """Whole-array Euler-Maruyama: all noise and kept positions at once."""
     grid = config.grid
     ec = causal_intensity(config.potential, grid)
     drift = (config.potential.intensity
-             if isinstance(config.potential, _Family)
+             if isinstance(config.potential, (_Family, PolynomialPotential))
              else lambda x: np.interp(x, grid.points, ec.values))
     rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
     x = np.array([rng.uniform(grid.lower, grid.upper) for rng in rngs])
@@ -184,12 +190,14 @@ def _reference_simulate(config):
     hist = EquilibriumDensity.from_table(
         grid, counts / (counts.sum() * grid.weights))
     return (hist.values, int(counts.sum()),
-            tv_distance(hist, normalize(config.potential, grid)))
+            tv_distance(hist, normalize(config.potential, grid)), positions)
 
 
 WELL_GRID = build_grid("continuous", -3, 3, 31)
 WELL = TabulatedPotential(grid=WELL_GRID,
                           values=(WELL_GRID.points ** 2 - 1.0) ** 2 / 2)
+QUARTIC_GRID = build_grid("continuous", -4, 4, 33)
+QUARTIC = PolynomialPotential((1.0, 0.0, -1.0, 0.0, 0.25))
 
 
 # 60 steps: blocks of 1, 7 and 13 steps (13 does not divide 60) and one
@@ -198,15 +206,26 @@ WELL = TabulatedPotential(grid=WELL_GRID,
 @pytest.mark.parametrize("block", [1, 7, 13, 100])
 @pytest.mark.parametrize("burn_in", [0, 10, 30])
 @pytest.mark.parametrize("potential,grid", [(HARMONIC, HARMONIC_GRID),
-                                            (WELL, WELL_GRID)],
-                         ids=["family", "tabulated"])
+                                            (WELL, WELL_GRID),
+                                            (QUARTIC, QUARTIC_GRID)],
+                         ids=["family", "tabulated", "polynomial"])
 def test_blocks_match_whole_array_loop(potential, grid, burn_in, block,
                                        monkeypatch):
     cfg = SimConfig(potential=potential, grid=grid, dt=5e-3, n_steps=60,
                     burn_in=burn_in, n_chains=3, seed=17)
     monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", block * cfg.n_chains)
-    values, n_used, tv = _reference_simulate(cfg)
+    values, n_used, tv, positions = _reference_simulate(cfg)
+    # the kept positions reach the histogram one block at a time; a last-bit
+    # change in them would rarely move a count
+    kept, histogram = [], np.histogram
+
+    def recording_histogram(a, *args, **kwargs):
+        kept.append(np.array(a))
+        return histogram(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "histogram", recording_histogram)
     r = simulate(cfg)
+    assert np.array_equal(np.concatenate(kept).T, positions)
     assert np.array_equal(r.histogram.values, values)
     assert r.n_samples_used == n_used == 3 * (60 - burn_in)
     assert r.tv_distance == tv
@@ -223,3 +242,19 @@ def test_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+# ---------------------------------------------------------------------------
+# closed-form polynomial drift
+
+
+def test_polynomial_drift_never_interpolates(monkeypatch):
+    def no_interp(*args, **kwargs):
+        raise AssertionError("np.interp called for a polynomial drift")
+
+    monkeypatch.setattr(np, "interp", no_interp)
+    cfg = SimConfig(potential=QUARTIC, grid=QUARTIC_GRID, dt=5e-3,
+                    n_steps=500, burn_in=50, n_chains=4, seed=5)
+    r = simulate(cfg)
+    assert r.n_samples_used == 4 * 450
+    assert np.isfinite(r.tv_distance)
