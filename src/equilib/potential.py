@@ -22,9 +22,11 @@ frozen copy of its values on a grid.  NaN marks a masked point, where a
 transform has no defined value; a table's ``mask`` is derived from its
 values as ``isnan(values)`` and is never stored apart from them.
 
-A "potential spec" is any object with a ``values_on(grid)`` method returning
-the tabulated potential; objects may additionally provide ``intensity_on(grid)``
-(closed-form derivative) and ``at(x)`` (pointwise evaluation off the grid).
+A "potential spec" is any object with a ``values_on(grid)`` method
+returning the tabulated potential; objects may additionally provide
+``intensity_on(grid)`` (closed-form derivative), ``intensity(x)`` (the
+closed-form -U' at any points, the simulator's drift) and ``at(x)``
+(pointwise evaluation off the grid).
 ``TabulatedPotential``, ``PolynomialPotential``, ``PearsonPotential`` and
 the catalog families themselves are potential specs.
 """

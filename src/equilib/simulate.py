@@ -1,21 +1,24 @@
 """Stochastic-dynamics verification of the Boltzmann equilibrium.
 
 Overdamped Euler-Maruyama with unit diffusion: the drift is the causal
-intensity -dU/dx (the closed-form ``intensity`` of a catalog family or a
-polynomial, else the tabulated -U' interpolated on the grid) and the
-stationary density of the continuous dynamics is exactly k e^(-U), so the
-long-run histogram must converge to the quadrature density.  Chains
-reflect at the grid bounds and draw their noise from per-chain Philox
-streams derived deterministically from (seed, chain index), making every
-run bit-reproducible.
+intensity -dU/dx (the potential's closed-form ``intensity`` where it has
+one, else the tabulated -U' interpolated on the grid) and the stationary
+density of the continuous dynamics is exactly k e^(-U), so the long-run
+histogram must converge to the quadrature density.  Chains reflect at the
+grid bounds.  All randomness comes from one Philox stream seeded by
+``seed``: first the chains' uniform starting points, then the kicks in
+step-major order (all chains of step 0, then of step 1, ...), so every run
+is bit-reproducible.  A counter-based stream gives independent normals to
+every chain without per-chain generators (Salmon et al., SC'11); a chain's
+path therefore depends on ``n_chains``.
 
 Noise is drawn and visits are counted in blocks of steps, so memory is
 O(chains x block + points) and ``n_steps`` has no memory ceiling: a huge
-run takes long rather than failing to allocate.  Block draws from one
-Philox stream equal one large draw and integer counts sum exactly, so the
-result's bits do not depend on the block size.  A block's scaled kicks
-fill the path buffer, whose row t each step overwrites in place with its
-new positions.
+run takes long rather than failing to allocate.  Each block's kicks fill
+the path buffer in C order, which is the stream's order, and integer
+counts sum exactly, so the result's bits do not depend on the block size.
+Step t reads its kicks from row t and overwrites that row in place with
+the new positions.
 """
 
 from __future__ import annotations
@@ -24,11 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .catalog import _Family
 from .errors import GridError, StabilityError, require_integer, require_real
 from .grid import CONTINUOUS, Grid
-from .potential import (EquilibriumDensity, PolynomialPotential,
-                        causal_intensity, normalize)
+from .potential import EquilibriumDensity, causal_intensity, normalize
 
 RNG_ALGORITHM = "philox4x64"
 STABILITY_LIMIT = 0.5
@@ -55,6 +56,9 @@ class SimConfig:
             raise StabilityError("need burn_in < n_steps")
         if not self.seed < 2 ** 64:
             raise StabilityError("seed must fit in 64 unsigned bits")
+        # NumPy cannot even size an array of 2**60 floats
+        if not self.n_chains < 2 ** 60:
+            raise StabilityError("n_chains must be below 2**60")
 
 
 @dataclass(frozen=True)
@@ -71,11 +75,6 @@ def tv_distance(p: EquilibriumDensity, q: EquilibriumDensity) -> float:
     """Total variation distance (1/2) integral |p - q|."""
     p.grid.require_same(q.grid, "densities")
     return 0.5 * p.grid.quadrature(np.abs(p.values - q.values))
-
-
-def _chain_rng(seed: int, chain: int) -> np.random.Generator:
-    seq = np.random.SeedSequence(entropy=seed, spawn_key=(chain,))
-    return np.random.Generator(np.random.Philox(seq))
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -96,28 +95,25 @@ def simulate(config: SimConfig) -> SimResult:
         )
 
     # closed-form drift where the potential has one, else interpolate
-    drift = (config.potential.intensity
-             if isinstance(config.potential, (_Family, PolynomialPotential))
-             else lambda x: np.interp(x, grid.points, ec.values))
+    drift = (getattr(config.potential, "intensity", None)
+             or (lambda x: np.interp(x, grid.points, ec.values)))
 
-    rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
-    x = np.array([rng.uniform(grid.lower, grid.upper) for rng in rngs])
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    x = rng.uniform(grid.lower, grid.upper, config.n_chains)
 
     pts = grid.points
     edges = np.concatenate(([pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]))
     counts = np.zeros(grid.n_points, dtype=np.int64)
     block = min(config.n_steps, max(1, BLOCK_ELEMENTS // config.n_chains))
-    noise = np.empty((config.n_chains, block))
     path = np.empty((block, config.n_chains))
     y, z = np.empty(config.n_chains), np.empty(config.n_chains)
     amp, dt = np.sqrt(2.0 * config.dt), config.dt
     lower, period = grid.lower, 2.0 * (grid.upper - grid.lower)
     for start in range(0, config.n_steps, block):
         m = min(block, config.n_steps - start)
-        for rng, row in zip(rngs, noise):
-            rng.standard_normal(out=row[:m])
-        np.multiply(noise[:, :m].T, amp, out=path[:m])
-        for row in path[:m]:
+        kicks = rng.standard_normal(out=path[:m])
+        np.multiply(kicks, amp, out=kicks)
+        for row in kicks:
             # (x + E dt) + kick, folded back into [lower, upper]
             np.multiply(drift(x), dt, out=y)
             np.add(x, y, out=y)

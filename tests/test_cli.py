@@ -639,6 +639,18 @@ def test_simulate_non_integer_count_exits_2(tmp_path, capsys, change):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_chains", [2 ** 60, 2 ** 63, 2 ** 64])
+def test_simulate_too_many_chains_exits_2(tmp_path, capsys, n_chains):
+    # rejected by SimConfig before a single chain is allocated
+    out = tmp_path / "res.json"
+    path = write_json(tmp_path / "cfg.json", dict(SIM_CONFIG,
+                                                  n_chains=n_chains))
+    assert run("simulate", "--config", path, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "n_chains must be below 2**60" in err and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_simulate_unknown_field_exits_2(tmp_path):
     cfg = dict(SIM_CONFIG, extra=1)
     path = write_json(tmp_path / "cfg.json", cfg)

@@ -8,9 +8,7 @@ from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
                      LinearConstant, Normal, PolynomialPotential, SimConfig,
                      StabilityError, TabulatedPotential, build_grid,
                      normalize, simulate, tv_distance)
-from equilib.catalog import _Family
 from equilib.potential import causal_intensity
-from equilib.simulate import _chain_rng
 
 SIM_MODULE = importlib.import_module("equilib.simulate")
 
@@ -169,16 +167,15 @@ def _reference_simulate(config):
     """Whole-array Euler-Maruyama: all noise and kept positions at once."""
     grid = config.grid
     ec = causal_intensity(config.potential, grid)
-    drift = (config.potential.intensity
-             if isinstance(config.potential, (_Family, PolynomialPotential))
-             else lambda x: np.interp(x, grid.points, ec.values))
-    rngs = [_chain_rng(config.seed, c) for c in range(config.n_chains)]
-    x = np.array([rng.uniform(grid.lower, grid.upper) for rng in rngs])
-    noise = np.stack([rng.standard_normal(config.n_steps) for rng in rngs])
+    drift = (getattr(config.potential, "intensity", None)
+             or (lambda x: np.interp(x, grid.points, ec.values)))
+    rng = np.random.Generator(np.random.Philox(config.seed))
+    x = rng.uniform(grid.lower, grid.upper, config.n_chains)
+    noise = rng.standard_normal((config.n_steps, config.n_chains))
     positions = np.empty((config.n_chains, config.n_steps - config.burn_in))
     amp = np.sqrt(2.0 * config.dt)
     for t in range(config.n_steps):
-        x = x + drift(x) * config.dt + amp * noise[:, t]
+        x = x + drift(x) * config.dt + amp * noise[t]
         x = _reflect(x, grid.lower, grid.upper)
         if t >= config.burn_in:
             positions[:, t - config.burn_in] = x
@@ -200,10 +197,12 @@ QUARTIC_GRID = build_grid("continuous", -4, 4, 33)
 QUARTIC = PolynomialPotential((1.0, 0.0, -1.0, 0.0, 0.25))
 
 
-# 60 steps: blocks of 1, 7 and 13 steps (13 does not divide 60) and one
-# block longer than the run; burn-in 10 ends inside the second block of 7
-# and the first of 13, burn-in 30 spans several blocks of each
-@pytest.mark.parametrize("block", [1, 7, 13, 100])
+# 60 steps: blocks of 1, 7 and 13 steps (13 does not divide 60), one
+# block longer than the run, and a budget of fewer elements than chains,
+# which the max(1, ...) floor turns into one-step blocks; burn-in 10 ends
+# inside the second block of 7 and the first of 13, burn-in 30 spans
+# several blocks of each
+@pytest.mark.parametrize("block", [1, 7, 13, 100, "floor"])
 @pytest.mark.parametrize("burn_in", [0, 10, 30])
 @pytest.mark.parametrize("potential,grid", [(HARMONIC, HARMONIC_GRID),
                                             (WELL, WELL_GRID),
@@ -213,7 +212,8 @@ def test_blocks_match_whole_array_loop(potential, grid, burn_in, block,
                                        monkeypatch):
     cfg = SimConfig(potential=potential, grid=grid, dt=5e-3, n_steps=60,
                     burn_in=burn_in, n_chains=3, seed=17)
-    monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", block * cfg.n_chains)
+    elements = cfg.n_chains - 1 if block == "floor" else block * cfg.n_chains
+    monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", elements)
     values, n_used, tv, positions = _reference_simulate(cfg)
     # the kept positions reach the histogram one block at a time; a last-bit
     # change in them would rarely move a count
@@ -226,6 +226,8 @@ def test_blocks_match_whole_array_loop(potential, grid, burn_in, block,
     monkeypatch.setattr(np, "histogram", recording_histogram)
     r = simulate(cfg)
     assert np.array_equal(np.concatenate(kept).T, positions)
+    if block == "floor":
+        assert len(kept) == 60  # one histogram call per one-step block
     assert np.array_equal(r.histogram.values, values)
     assert r.n_samples_used == n_used == 3 * (60 - burn_in)
     assert r.tv_distance == tv
@@ -242,6 +244,19 @@ def test_memory_does_not_grow_with_steps():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2 ** 20
+
+
+def test_one_philox_stream_for_all_chains(monkeypatch):
+    built, philox = [], np.random.Philox
+
+    def counting_philox(*args, **kwargs):
+        built.append(args)
+        return philox(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counting_philox)
+    r = simulate(harmonic_config(n_steps=3, burn_in=0, n_chains=20_000))
+    assert len(built) == 1
+    assert r.n_samples_used == 3 * 20_000
 
 
 # ---------------------------------------------------------------------------
