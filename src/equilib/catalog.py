@@ -14,8 +14,9 @@
                                consulted only where a sub-gamma bound
                                does not already settle them
 
-and is itself a potential spec (``values_on``, ``intensity_on`` and ``at``
-over ``potential`` and ``intensity``), so it goes to the transforms as is.
+and is itself a potential spec (``values_on``, ``intensity_on``,
+``scaled_intensity`` and ``at`` over ``potential`` and ``intensity``), so it
+goes to the transforms and the simulator as is.
 The Poisson potential takes ln Gamma from ``special.gammaln``.  The module
 also holds the Pearson-system generator, whose density is the normalized
 integral of its causal intensity on a grid.
@@ -82,6 +83,9 @@ class _Family:
 
     def intensity_on(self, grid: Grid):
         return self.intensity(grid.points)
+
+    def scaled_intensity(self, x, scale, out):
+        return np.multiply(self.intensity(x), scale, out)
 
     def at(self, x):
         return self.potential(x)

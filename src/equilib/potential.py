@@ -25,7 +25,8 @@ values as ``isnan(values)`` and is never stored apart from them.
 A "potential spec" is any object with a ``values_on(grid)`` method
 returning the tabulated potential; objects may additionally provide
 ``intensity_on(grid)`` (closed-form derivative), ``intensity(x)`` (the
-closed-form -U' at any points, the simulator's drift) and ``at(x)``
+closed-form -U' at any points), ``scaled_intensity(x, scale, out)`` (scale
+times it, written into ``out``: the simulator's drift) and ``at(x)``
 (pointwise evaluation off the grid).
 ``TabulatedPotential``, ``PolynomialPotential``, ``PearsonPotential`` and
 the catalog families themselves are potential specs.
@@ -105,8 +106,14 @@ class PolynomialPotential:
             require_real(c, f"coeffs[{j}]", PotentialError)
         object.__setattr__(self, "coeffs",
                            tuple(float(c) for c in self.coeffs))
-        object.__setattr__(self, "_dcoeffs", np.polynomial.polynomial.polyder(
-            self.coeffs).tolist())
+        d = np.polynomial.polynomial.polyder(self.coeffs).tolist()
+        object.__setattr__(self, "_dcoeffs", d)
+        # scaled_intensity's Horner: x times the leading nonzero coefficient
+        # (0 if U' is constant), then steps by x (None) or a nonzero one
+        top = max((j for j, c in enumerate(d) if c), default=0)
+        steps = [op for c in reversed(d[:top]) for op in (None, c) if op != 0]
+        object.__setattr__(self, "_horner",
+                           (d[top], steps[1:]) if top else (0.0, d[:1]))
 
     def at(self, x):
         x = np.asarray(x, dtype=float)
@@ -125,6 +132,18 @@ class PolynomialPotential:
             out += c
         out *= -1.0
         return out
+
+    def scaled_intensity(self, x, scale, out):
+        """intensity(x) * scale into ``out``, equal to it under ``==``
+        (skipped zero terms may flip only the sign of a zero drift)."""
+        lead, steps = self._horner
+        np.multiply(x, lead, out)
+        for c in steps:
+            if c is None:
+                np.multiply(out, x, out)
+            else:
+                np.add(out, c, out)
+        return np.multiply(out, -scale, out)  # p * -s has the bits of -p * s
 
     def intensity_on(self, grid: Grid) -> np.ndarray:
         return self.intensity(grid.points)

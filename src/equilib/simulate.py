@@ -17,8 +17,10 @@ O(chains x block + points) and ``n_steps`` has no memory ceiling: a huge
 run takes long rather than failing to allocate.  Each block's kicks fill
 the path buffer in C order, which is the stream's order, and integer
 counts sum exactly, so the result's bits do not depend on the block size.
-Step t reads its kicks from row t and overwrites that row in place with
-the new positions.
+Step t writes dt * E_c(x) into one scratch vector (the potential's
+``scaled_intensity``), reads its kicks from row t and overwrites that row
+in place with the new positions: a step allocates nothing on a polynomial,
+and only E_c(x) on a family or table.
 """
 
 from __future__ import annotations
@@ -94,9 +96,11 @@ def simulate(config: SimConfig) -> SimResult:
             f"{STABILITY_LIMIT} stability guard"
         )
 
-    # closed-form drift where the potential has one, else interpolate
-    drift = (getattr(config.potential, "intensity", None)
-             or (lambda x: np.interp(x, grid.points, ec.values)))
+    # drift(x, dt, y) writes dt * E_c(x) into y: closed form where the
+    # potential has one, else interpolated
+    drift = (getattr(config.potential, "scaled_intensity", None)
+             or (lambda x, scale, out: np.multiply(
+                 np.interp(x, grid.points, ec.values), scale, out)))
 
     rng = np.random.Generator(np.random.Philox(config.seed))
     x = rng.uniform(grid.lower, grid.upper, config.n_chains)
@@ -115,7 +119,7 @@ def simulate(config: SimConfig) -> SimResult:
         np.multiply(kicks, amp, out=kicks)
         for row in kicks:
             # (x + E dt) + kick, folded back into [lower, upper]
-            np.multiply(drift(x), dt, out=y)
+            drift(x, dt, y)
             np.add(x, y, out=y)
             np.add(y, row, out=y)
             np.subtract(y, lower, out=y)

@@ -283,6 +283,29 @@ def test_polynomial_intensity_on_keeps_its_bits(coeffs):
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
+@st.composite
+def sparse_drift_cases(draw):
+    coeff = st.just(0.0) | st.floats(-10, 10)
+    coeffs = draw(st.lists(coeff, min_size=1, max_size=8))
+    lower = draw(st.floats(-20, 20))
+    upper = lower + draw(st.floats(1e-3, 20))
+    inside = draw(st.lists(st.floats(0, 1), max_size=20))
+    x = np.concatenate(([lower, upper, -0.0, 0.0],
+                        lower + (upper - lower) * np.array(inside)))
+    return coeffs, x, draw(st.floats(1e-6, 1.0))
+
+
+@given(sparse_drift_cases())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_scaled_intensity_equals_intensity_times_scale(case):
+    # zero coefficients are skipped, which may flip only the sign of a zero
+    coeffs, x, dt = case
+    p = PolynomialPotential(coeffs)
+    out = np.empty_like(x)
+    assert p.scaled_intensity(x, dt, out) is out
+    assert np.all(out == p.intensity(x) * dt)
+
+
 # ---------------------------------------------------------------------------
 # density_from_intensity
 

@@ -273,3 +273,48 @@ def test_polynomial_drift_never_interpolates(monkeypatch):
     r = simulate(cfg)
     assert r.n_samples_used == 4 * 450
     assert np.isfinite(r.tv_distance)
+
+
+def test_polynomial_drift_never_calls_intensity_per_step(monkeypatch):
+    # the guard's E_c table is the one intensity call; each step's drift
+    # goes through scaled_intensity into the scratch vector
+    intensity = PolynomialPotential.intensity
+
+    def grid_only(self, x):
+        if x is not QUARTIC_GRID.points:
+            raise AssertionError("intensity called off the grid")
+        return intensity(self, x)
+
+    monkeypatch.setattr(PolynomialPotential, "intensity", grid_only)
+    cfg = SimConfig(potential=QUARTIC, grid=QUARTIC_GRID, dt=5e-3,
+                    n_steps=500, burn_in=50, n_chains=4, seed=5)
+    r = simulate(cfg)
+    assert r.n_samples_used == 4 * 450
+    assert np.isfinite(r.tv_distance)
+
+
+# U' constant, zero, with a zero leading coefficient, and the quartic's
+# sparse x^3 - 2x; the oracle's drift stays intensity(x) * dt
+@pytest.mark.parametrize("coeffs,grid", [
+    ((3.0,), build_grid("continuous", -2, 2, 21)),
+    ((0.0, 1.5), build_grid("continuous", 0, 10, 41)),
+    ((1.0, 0.0, 0.0), build_grid("continuous", -2, 2, 21)),
+    ((0.0, 1.0, -0.5, 0.0), build_grid("continuous", -2, 3, 26)),
+    (QUARTIC.coeffs, QUARTIC_GRID),
+], ids=["constant", "linear", "zero-derivative", "leading-zero", "quartic"])
+def test_lean_polynomial_drift_matches_oracle(coeffs, grid, monkeypatch):
+    cfg = SimConfig(potential=PolynomialPotential(coeffs), grid=grid,
+                    dt=5e-3, n_steps=200, burn_in=20, n_chains=5, seed=23)
+    values, n_used, tv, positions = _reference_simulate(cfg)
+    kept, histogram = [], np.histogram
+
+    def recording_histogram(a, *args, **kwargs):
+        kept.append(np.array(a))
+        return histogram(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "histogram", recording_histogram)
+    r = simulate(cfg)
+    assert np.array_equal(np.concatenate(kept).T, positions)
+    assert np.array_equal(r.histogram.values, values)
+    assert r.n_samples_used == n_used
+    assert r.tv_distance == tv
