@@ -16,7 +16,9 @@
 
 and is itself a potential spec (``values_on``, ``intensity_on``,
 ``scaled_intensity`` and ``at`` over ``potential`` and ``intensity``), so it
-goes to the transforms and the simulator as is.
+goes to the transforms and the simulator as is.  ``Exponential`` and
+``Gamma`` write the simulator's drift in place from 0-d constants, without
+the support check that ``intensity`` makes on every call.
 The Poisson potential takes ln Gamma from ``special.gammaln``.  The module
 also holds the Pearson-system generator, whose density is the normalized
 integral of its causal intensity on a grid.
@@ -124,6 +126,12 @@ class Exponential(_Family):
     a: float
     _positive = ("a",)
 
+    def __post_init__(self):
+        super().__post_init__()
+        # scaled_intensity's constant, 0-d: a float operand costs a
+        # conversion on every call
+        object.__setattr__(self, "_neg_a", np.array(-self.a, dtype=float))
+
     def potential(self, x):
         return self.a * self._check(x)
 
@@ -132,6 +140,10 @@ class Exponential(_Family):
 
     def intensity(self, x):
         return np.full_like(self._check(x), -self.a)
+
+    def scaled_intensity(self, x, scale, out):
+        # unchecked: the simulator keeps x between grid points on the support
+        return np.multiply(self._neg_a, scale, out)
 
     def default_grid(self) -> Grid:
         return build_grid(CONTINUOUS, 0.0, 40.0 / self.a, DEFAULT_POINTS)
@@ -243,6 +255,13 @@ class Gamma(_Family):
     beta: float
     _positive = ("alpha", "beta")
 
+    def __post_init__(self):
+        super().__post_init__()
+        # intensity's two constants as 0-d arrays, for scaled_intensity
+        object.__setattr__(self, "_drift", (
+            np.array(-(1.0 - self.alpha), dtype=float),
+            np.array(1.0 / self.beta, dtype=float)))
+
     @classmethod
     def from_intensity(cls, a: float, b: float) -> "Gamma":
         """Intensity form E_c(x) = -a/x - b; requires a < 1 for a valid shape."""
@@ -274,6 +293,13 @@ class Gamma(_Family):
     def intensity(self, x):
         x = self._check(x)
         return -(1.0 - self.alpha) / x - 1.0 / self.beta
+
+    def scaled_intensity(self, x, scale, out):
+        # unchecked, as Exponential's; intensity's operations in its order
+        shape, rate = self._drift
+        np.divide(shape, x, out)
+        np.subtract(out, rate, out)
+        return np.multiply(out, scale, out)
 
     def default_grid(self) -> Grid:
         upper = self.beta * (self.alpha + 10.0 * math.sqrt(self.alpha) + 15.0)

@@ -108,12 +108,16 @@ class PolynomialPotential:
                            tuple(float(c) for c in self.coeffs))
         d = np.polynomial.polynomial.polyder(self.coeffs).tolist()
         object.__setattr__(self, "_dcoeffs", d)
-        # scaled_intensity's Horner: x times the leading nonzero coefficient
-        # (0 if U' is constant), then steps by x (None) or a nonzero one
+        # scaled_intensity's Horner on -U' = sum_j (-d[j]) x**j: x times the
+        # negated leading nonzero coefficient (-0 if U' is constant), then
+        # steps by x (None) or a negated nonzero one, as 0-d arrays; rounding
+        # is symmetric, so each step has the bits of -(the step on U')
         top = max((j for j, c in enumerate(d) if c), default=0)
         steps = [op for c in reversed(d[:top]) for op in (None, c) if op != 0]
-        object.__setattr__(self, "_horner",
-                           (d[top], steps[1:]) if top else (0.0, d[:1]))
+        lead, steps = (d[top], steps[1:]) if top else (0.0, d[:1])
+        object.__setattr__(self, "_horner", (
+            np.array(-lead),
+            [None if c is None else np.array(-c) for c in steps]))
 
     def at(self, x):
         x = np.asarray(x, dtype=float)
@@ -143,7 +147,7 @@ class PolynomialPotential:
                 np.multiply(out, x, out)
             else:
                 np.add(out, c, out)
-        return np.multiply(out, -scale, out)  # p * -s has the bits of -p * s
+        return np.multiply(out, scale, out)
 
     def intensity_on(self, grid: Grid) -> np.ndarray:
         return self.intensity(grid.points)

@@ -20,7 +20,11 @@ counts sum exactly, so the result's bits do not depend on the block size.
 Step t writes dt * E_c(x) into one scratch vector (the potential's
 ``scaled_intensity``), reads its kicks from row t and overwrites that row
 in place with the new positions: a step allocates nothing on a polynomial,
-and only E_c(x) on a family or table.
+Gamma or Exponential, and only E_c(x) on another family or a table.  dt,
+the lower bound and the reflection period are 0-d arrays built once per
+run, and each step's ufuncs take their out positionally (np.minimum keeps
+``out=``, as NumPy 2.4 deprecates a third positional argument there), so
+no step converts a Python float or parses a keyword.
 """
 
 from __future__ import annotations
@@ -111,22 +115,24 @@ def simulate(config: SimConfig) -> SimResult:
     block = min(config.n_steps, max(1, BLOCK_ELEMENTS // config.n_chains))
     path = np.empty((block, config.n_chains))
     y, z = np.empty(config.n_chains), np.empty(config.n_chains)
-    amp, dt = np.sqrt(2.0 * config.dt), config.dt
-    lower, period = grid.lower, 2.0 * (grid.upper - grid.lower)
+    amp, dt = np.sqrt(2.0 * config.dt), np.array(config.dt)
+    lower = np.array(grid.lower)
+    period = np.array(2.0 * (grid.upper - grid.lower))
+    add, subtract, mod, minimum = np.add, np.subtract, np.mod, np.minimum
     for start in range(0, config.n_steps, block):
         m = min(block, config.n_steps - start)
         kicks = rng.standard_normal(out=path[:m])
-        np.multiply(kicks, amp, out=kicks)
+        np.multiply(kicks, amp, kicks)
         for row in kicks:
             # (x + E dt) + kick, folded back into [lower, upper]
             drift(x, dt, y)
-            np.add(x, y, out=y)
-            np.add(y, row, out=y)
-            np.subtract(y, lower, out=y)
-            np.mod(y, period, out=y)
-            np.subtract(period, y, out=z)
-            np.minimum(y, z, out=y)
-            x = np.add(lower, y, out=row)
+            add(x, y, y)
+            add(y, row, y)
+            subtract(y, lower, y)
+            mod(y, period, y)
+            subtract(period, y, z)
+            minimum(y, z, out=y)
+            x = add(lower, y, row)
         x = x.copy()  # the next block's kicks overwrite this row
         # burn-in may end mid-block; integer counts merge exactly
         skip = max(0, config.burn_in - start)

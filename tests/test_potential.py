@@ -12,6 +12,7 @@ from equilib import (EquilibriumDensity, Exponential, IntensityTable, Normal,
                      equilibrium_residual, eval_potential, normalize,
                      normalized_potential, potential_of_density,
                      stochastic_intensity)
+from equilib.catalog import FAMILIES, make_family
 
 SQRT_2PI = 2.5066282746310002  # sqrt(2*pi)
 
@@ -292,18 +293,35 @@ def sparse_drift_cases(draw):
     inside = draw(st.lists(st.floats(0, 1), max_size=20))
     x = np.concatenate(([lower, upper, -0.0, 0.0],
                         lower + (upper - lower) * np.array(inside)))
-    return coeffs, x, draw(st.floats(1e-6, 1.0))
+    return coeffs, x
 
 
-@given(sparse_drift_cases())
+# fields for one member of each FAMILIES entry; a new family needs a line
+FAMILY_FIELDS = {"uniform": {"n": 6}, "exponential": {"a": 1.5},
+                 "normal": {"mu": -1.0, "sigma": 2.0},
+                 "linear_constant": {"a": 1.0, "b": 0.5},
+                 "linear-constant": {"a": -2.0, "b": 3.0},
+                 "poisson": {"lam": 3.5}, "gamma": {"alpha": 0.3, "beta": 2.0}}
+DRIFT_FAMILIES = [(f, f.default_grid()) for f in
+                  (make_family(name, FAMILY_FIELDS[name]) for name in FAMILIES)]
+# a Python float, as callers pass it, or 0-d, as the simulator does
+SCALES = st.floats(1e-6, 1.0) | st.floats(1e-6, 1.0).map(np.array)
+
+
+@given(sparse_drift_cases(), st.lists(st.floats(0, 1), max_size=20), SCALES)
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_scaled_intensity_equals_intensity_times_scale(case):
-    # zero coefficients are skipped, which may flip only the sign of a zero
-    coeffs, x, dt = case
-    p = PolynomialPotential(coeffs)
-    out = np.empty_like(x)
-    assert p.scaled_intensity(x, dt, out) is out
-    assert np.all(out == p.intensity(x) * dt)
+def test_scaled_intensity_equals_intensity_times_scale(case, inside, scale):
+    # zero coefficients are skipped, which may flip only the sign of a zero;
+    # every family is checked at both ends of its default grid and inside
+    coeffs, x = case
+    cases = [(PolynomialPotential(coeffs), x)]
+    for family, g in DRIFT_FAMILIES:
+        points = g.lower + (g.upper - g.lower) * np.array(inside)
+        cases.append((family, np.concatenate(([g.lower, g.upper], points))))
+    for p, x in cases:
+        out = np.empty_like(x)
+        assert p.scaled_intensity(x, scale, out) is out
+        assert np.all(out == p.intensity(x) * scale)
 
 
 # ---------------------------------------------------------------------------

@@ -318,3 +318,38 @@ def test_lean_polynomial_drift_matches_oracle(coeffs, grid, monkeypatch):
     assert np.array_equal(r.histogram.values, values)
     assert r.n_samples_used == n_used
     assert r.tv_distance == tv
+
+
+# ---------------------------------------------------------------------------
+# unchecked family drift
+
+
+# most of each density's mass lies by the lower wall, so chains reflect
+# there often; the oracle's drift stays the checked intensity(x) * dt,
+# while simulate checks the support on the grid's points alone
+@pytest.mark.parametrize("family,grid", [
+    (Exponential(1.0), build_grid("continuous", 0, 12, 49)),
+    (Gamma(0.3, 1.0), build_grid("continuous", 0.05, 8, 49)),
+], ids=["exponential", "gamma"])
+def test_unchecked_family_drift_matches_oracle(family, grid, monkeypatch):
+    cfg = SimConfig(potential=family, grid=grid, dt=5e-3, n_steps=200,
+                    burn_in=20, n_chains=5, seed=23)
+    values, n_used, tv, positions = _reference_simulate(cfg)
+    kept, histogram, check = [], np.histogram, type(family)._check
+
+    def recording_histogram(a, *args, **kwargs):
+        kept.append(np.array(a))
+        return histogram(a, *args, **kwargs)
+
+    def grid_only(self, x):
+        if x is not grid.points:
+            raise AssertionError("support checked off the grid")
+        return check(self, x)
+
+    monkeypatch.setattr(np, "histogram", recording_histogram)
+    monkeypatch.setattr(type(family), "_check", grid_only)
+    r = simulate(cfg)
+    assert np.array_equal(np.concatenate(kept).T, positions)
+    assert np.array_equal(r.histogram.values, values)
+    assert r.n_samples_used == n_used
+    assert r.tv_distance == tv
