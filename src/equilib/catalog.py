@@ -14,11 +14,11 @@
                                consulted only where a sub-gamma bound
                                does not already settle them
 
-and is itself a potential spec (``values_on``, ``intensity_on``,
-``scaled_intensity`` and ``at`` over ``potential`` and ``intensity``), so it
-goes to the transforms and the simulator as is.  ``Exponential`` and
-``Gamma`` write the simulator's drift in place from 0-d constants, without
-the support check that ``intensity`` makes on every call.
+and is itself a potential spec (``values_on``, ``intensity``,
+``scaled_intensity`` and ``at``), so it goes to the transforms and the
+simulator as is.  Each family writes its -U' once, in place and without
+the support check, in ``scaled_intensity(x, scale, out)``; ``intensity`` is
+the check plus that at scale 1.
 The Poisson potential takes ln Gamma from ``special.gammaln``.  The module
 also holds the Pearson-system generator, whose density is the normalized
 integral of its causal intensity on a grid.
@@ -65,6 +65,7 @@ class _Family:
     """Base of the closed-form families: checked fields, one density."""
 
     _positive = ()  # names of the real fields that must also be > 0
+    _lowest = -math.inf  # the support is x >= _lowest
 
     def __post_init__(self):
         for f in fields(self):
@@ -83,20 +84,19 @@ class _Family:
     def values_on(self, grid: Grid):
         return self.potential(grid.points)
 
-    def intensity_on(self, grid: Grid):
-        return self.intensity(grid.points)
-
-    def scaled_intensity(self, x, scale, out):
-        return np.multiply(self.intensity(x), scale, out)
+    def intensity(self, x):
+        x = self._check(x)
+        return self.scaled_intensity(x, 1.0, np.empty_like(x))
 
     def at(self, x):
         return self.potential(x)
 
     def _check(self, x):
-        """x as floats, on the support x >= 0 unless a family narrows it."""
+        """x as floats, on the support x >= _lowest."""
         x = _asfloat(x)
-        if np.any(x < 0):
-            raise SupportError(f"{type(self).__name__} support is x >= 0")
+        if np.any(x < self._lowest):
+            raise SupportError(
+                f"{type(self).__name__} support is x >= {self._lowest:g}")
         return x
 
 
@@ -112,8 +112,8 @@ class UniformLattice(_Family):
     def normalized_potential(self, x):
         return np.full_like(_asfloat(x), math.log(self.n))
 
-    def intensity(self, x):
-        return np.zeros_like(_asfloat(x))
+    def scaled_intensity(self, x, scale, out):
+        return np.multiply(0.0, scale, out)
 
     def default_grid(self) -> Grid:
         return build_grid(LATTICE, 1, self.n, self.n)
@@ -125,6 +125,7 @@ class Exponential(_Family):
 
     a: float
     _positive = ("a",)
+    _lowest = 0.0
 
     def __post_init__(self):
         super().__post_init__()
@@ -138,11 +139,7 @@ class Exponential(_Family):
     def normalized_potential(self, x):
         return self.a * self._check(x) - math.log(self.a)
 
-    def intensity(self, x):
-        return np.full_like(self._check(x), -self.a)
-
     def scaled_intensity(self, x, scale, out):
-        # unchecked: the simulator keeps x between grid points on the support
         return np.multiply(self._neg_a, scale, out)
 
     def default_grid(self) -> Grid:
@@ -177,8 +174,10 @@ class Normal(_Family):
         return self.potential(x) + 0.5 * math.log(2.0 * math.pi
                                                   * self.sigma ** 2)
 
-    def intensity(self, x):
-        return -(_asfloat(x) - self.mu) / self.sigma ** 2
+    def scaled_intensity(self, x, scale, out):
+        np.subtract(x, self.mu, out)
+        np.divide(out, -self.sigma ** 2, out)
+        return np.multiply(out, scale, out)
 
     def default_grid(self) -> Grid:
         return build_grid(CONTINUOUS, self.mu - 8.0 * self.sigma,
@@ -208,8 +207,10 @@ class LinearConstant(_Family):
         z = x + self.a / self.b
         return self.b * z * z / 2.0 + 0.5 * math.log(2.0 * math.pi / self.b)
 
-    def intensity(self, x):
-        return -self.a - self.b * _asfloat(x)
+    def scaled_intensity(self, x, scale, out):
+        np.multiply(x, self.b, out)
+        np.subtract(-self.a, out, out)
+        return np.multiply(out, scale, out)
 
     def default_grid(self) -> Grid:
         return self.as_normal().default_grid()
@@ -221,6 +222,7 @@ class Poisson(_Family):
 
     lam: float
     _positive = ("lam",)
+    _lowest = 0.0
 
     def potential(self, x):
         x = self._check(x)
@@ -229,9 +231,9 @@ class Poisson(_Family):
     def normalized_potential(self, x):
         return self.lam + self.potential(x)
 
-    def intensity(self, x):
-        x = self._check(x)
-        return -digamma(x + 1.0) + math.log(self.lam)
+    def scaled_intensity(self, x, scale, out):
+        np.subtract(math.log(self.lam), digamma(x + 1.0), out)
+        return np.multiply(out, scale, out)
 
     def default_grid(self) -> Grid:
         bound = self.lam + 10.0 * math.sqrt(self.lam)
@@ -290,12 +292,7 @@ class Gamma(_Family):
         const = math.lgamma(self.alpha) + self.alpha * math.log(self.beta)
         return self.potential(x) + const
 
-    def intensity(self, x):
-        x = self._check(x)
-        return -(1.0 - self.alpha) / x - 1.0 / self.beta
-
     def scaled_intensity(self, x, scale, out):
-        # unchecked, as Exponential's; intensity's operations in its order
         shape, rate = self._drift
         np.divide(shape, x, out)
         np.subtract(out, rate, out)
@@ -376,17 +373,18 @@ class PearsonPotential:
 
     params: PearsonParams
 
-    def intensity_on(self, grid: Grid):
+    def intensity(self, x):
         p = self.params
-        den = p.denominator(grid.points)
-        if np.any(den == 0.0) or np.any(np.sign(den[1:]) != np.sign(den[:-1])):
+        x = _asfloat(x)
+        den = p.denominator(x)
+        if not (np.all(den > 0.0) or np.all(den < 0.0)):
             raise PotentialError(
                 "Pearson denominator has a root inside the domain")
         s = -1.0 if p.sign == "standard" else 1.0
-        return s * (grid.points - p.a) / den
+        return s * (x - p.a) / den
 
     def values_on(self, grid: Grid):
-        ec = self.intensity_on(grid)
+        ec = self.intensity(grid.points)
         # an outward-pointing log-density slope at a grid edge means the
         # implied density keeps growing beyond the grid; reject rather than
         # truncate a non-normalizable tail

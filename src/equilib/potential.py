@@ -24,10 +24,10 @@ values as ``isnan(values)`` and is never stored apart from them.
 
 A "potential spec" is any object with a ``values_on(grid)`` method
 returning the tabulated potential; objects may additionally provide
-``intensity_on(grid)`` (closed-form derivative), ``intensity(x)`` (the
-closed-form -U' at any points), ``scaled_intensity(x, scale, out)`` (scale
-times it, written into ``out``: the simulator's drift) and ``at(x)``
-(pointwise evaluation off the grid).
+``intensity(x)`` (the closed-form -U' at any points), ``scaled_intensity(x,
+scale, out)`` (scale times it, written into ``out``: the simulator's drift;
+a catalog family writes its -U' only there) and ``at(x)`` (pointwise
+evaluation off the grid).
 ``TabulatedPotential``, ``PolynomialPotential``, ``PearsonPotential`` and
 the catalog families themselves are potential specs.
 """
@@ -148,9 +148,6 @@ class PolynomialPotential:
             else:
                 np.add(out, c, out)
         return np.multiply(out, scale, out)
-
-    def intensity_on(self, grid: Grid) -> np.ndarray:
-        return self.intensity(grid.points)
 
 
 @dataclass(frozen=True)
@@ -284,8 +281,8 @@ def stochastic_intensity(f: EquilibriumDensity) -> IntensityTable:
 def causal_intensity(U, grid: Grid) -> IntensityTable:
     """-dU/dx: closed form when the potential provides one, else the grid's
     difference rule; masked where it is not finite."""
-    if hasattr(U, "intensity_on"):
-        vals = np.asarray(U.intensity_on(grid), dtype=float)
+    if hasattr(U, "intensity"):
+        vals = np.asarray(U.intensity(grid.points), dtype=float)
     else:
         vals = -grid.derivative(eval_potential(U, grid))
     return IntensityTable(grid=grid, kind="causal",

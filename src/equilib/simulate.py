@@ -1,8 +1,8 @@
 """Stochastic-dynamics verification of the Boltzmann equilibrium.
 
 Overdamped Euler-Maruyama with unit diffusion: the drift is the causal
-intensity -dU/dx (the potential's closed-form ``intensity`` where it has
-one, else the tabulated -U' interpolated on the grid) and the stationary
+intensity -dU/dx (the potential's ``scaled_intensity`` where it has one,
+else the tabulated -U' interpolated on the grid) and the stationary
 density of the continuous dynamics is exactly k e^(-U), so the long-run
 histogram must converge to the quadrature density.  Chains reflect at the
 grid bounds.  All randomness comes from one Philox stream seeded by
@@ -19,8 +19,8 @@ the path buffer in C order, which is the stream's order, and integer
 counts sum exactly, so the result's bits do not depend on the block size.
 Step t writes dt * E_c(x) into one scratch vector (the potential's
 ``scaled_intensity``), reads its kicks from row t and overwrites that row
-in place with the new positions: a step allocates nothing on a polynomial,
-Gamma or Exponential, and only E_c(x) on another family or a table.  dt,
+in place: a step allocates nothing on a polynomial or a family but Poisson's
+digamma, and only the interpolated E_c(x) on a table or Pearson spec.  dt,
 the lower bound and the reflection period are 0-d arrays built once per
 run, and each step's ufuncs take their out positionally (np.minimum keeps
 ``out=``, as NumPy 2.4 deprecates a third positional argument there), so

@@ -10,6 +10,7 @@ from equilib import (Exponential, Gamma, IntensityTable, LinearConstant,
                      normalize, pearson_density, stochastic_intensity)
 from equilib.catalog import FAMILIES, make_family
 from equilib.errors import FormatError
+from equilib.special import digamma
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -50,6 +51,52 @@ def test_gamma_intensity_form():
     fam = Gamma(alpha=0.5, beta=1.0)
     # -(1 - alpha)/x - 1/beta
     assert fam.intensity(2.0) == pytest.approx(-0.25 - 1.0)
+
+
+# each family's -U' as an allocating expression, written apart from the
+# catalog's in-place scaled_intensity, from which intensity derives
+ORACLE_INTENSITY = {
+    UniformLattice: lambda f, x: np.zeros_like(x),
+    Exponential: lambda f, x: np.full_like(x, -f.a),
+    Normal: lambda f, x: -(x - f.mu) / f.sigma ** 2,
+    LinearConstant: lambda f, x: -f.a - f.b * x,
+    Poisson: lambda f, x: -digamma(x + 1.0) + math.log(f.lam),
+    Gamma: lambda f, x: -(1.0 - f.alpha) / x - 1.0 / f.beta,
+}
+# one member of each FAMILIES entry (a new family needs a line), plus
+# Gamma's alpha = 1, whose support takes x = 0; sigma**2 is not a power of
+# two, so dividing by it differs from multiplying by its reciprocal
+ORACLE_FIELDS = {"uniform": {"n": 6}, "exponential": {"a": 1.5},
+                 "normal": {"mu": -1.0, "sigma": 1.7},
+                 "linear_constant": {"a": 1.0, "b": 0.5},
+                 "linear-constant": {"a": -2.0, "b": 3.0},
+                 "poisson": {"lam": 3.5}, "gamma": {"alpha": 0.3, "beta": 2.0}}
+ORACLE_MEMBERS = [make_family(name, ORACLE_FIELDS[name])
+                  for name in FAMILIES] + [Gamma(1.0, 2.0)]
+
+
+@pytest.mark.parametrize("fam", ORACLE_MEMBERS, ids=repr)
+def test_intensity_has_the_bits_of_the_closed_form(fam):
+    g = fam.default_grid()
+    rng = np.random.default_rng(16)
+    zero = ([fam.mu] if isinstance(fam, Normal) else
+            [-fam.a / fam.b] if isinstance(fam, LinearConstant) else [])
+    x = np.concatenate(([g.lower, g.upper, -0.0, 0.0], zero,
+                        g.lower + (g.upper - g.lower) * rng.random(2000)))
+    if isinstance(fam, Gamma):  # 0 / 0 at x = 0 when alpha = 1
+        x = x[x > 0.0]
+    want = ORACLE_INTENSITY[type(fam)](fam, x)
+    assert np.array_equal(fam.intensity(x).view(np.uint64),
+                          want.view(np.uint64))
+
+
+@pytest.mark.parametrize("fam", ORACLE_MEMBERS, ids=repr)
+def test_scalar_intensity_is_a_0d_float_array(fam):
+    got = fam.intensity(1.0)
+    assert isinstance(got, np.ndarray) and got.shape == ()
+    assert got.dtype == np.float64
+    want = np.float64(ORACLE_INTENSITY[type(fam)](fam, np.asarray(1.0)))
+    assert got.view(np.uint64) == want.view(np.uint64)
 
 
 # ---------------------------------------------------------------------------
@@ -158,6 +205,35 @@ def test_gamma_rejects_nonpositive_argument():
         Gamma(0.5, 1.0).normalized_potential(0.0)
 
 
+@pytest.mark.parametrize("fam", [Exponential(2.0), Poisson(3.0)],
+                         ids=repr)
+def test_nonnegative_support_rejects_negative_x(fam):
+    for x in (-1e-300, np.array([1.0, -0.5])):
+        with pytest.raises(SupportError, match="support is x >= 0"):
+            fam.intensity(x)
+        with pytest.raises(SupportError):
+            fam.potential(x)
+    assert np.all(np.isfinite(fam.intensity(np.array([-0.0, 0.0]))))
+
+
+def test_gamma_support_takes_zero_only_at_shape_one():
+    for x in (0.0, -0.0, np.array([1.0, 0.0])):
+        with pytest.raises(SupportError, match="gamma support"):
+            Gamma(0.3, 2.0).intensity(x)
+    # alpha = 1 passes the check at 0: U is x / beta there
+    assert Gamma(1.0, 2.0).potential(np.array([0.0, -0.0])).tolist() == \
+        [0.0, 0.0]
+
+
+@pytest.mark.parametrize("fam", [Normal(1.0, 2.0), LinearConstant(1.0, 0.5),
+                                 UniformLattice(4)], ids=repr)
+def test_unbounded_support_takes_negative_x(fam):
+    x = np.array([-3.5, -1e-300, -0.0])
+    want = ORACLE_INTENSITY[type(fam)](fam, x)
+    assert np.array_equal(fam.intensity(x).view(np.uint64),
+                          want.view(np.uint64))
+
+
 def test_gamma_rejects_bad_shape():
     with pytest.raises(SupportError):
         Gamma(alpha=-1.0, beta=1.0)
@@ -190,13 +266,15 @@ def test_default_grids_capture_mass():
 def test_pearson_standard_sign_normal_intensity():
     p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="standard")
     grid = build_grid("continuous", 0.0, 4.0, 5)  # grid.points[2] == 2.0
-    assert PearsonPotential(p).intensity_on(grid)[2] == pytest.approx(-2.0)
+    assert PearsonPotential(p).intensity(grid.points)[2] == \
+        pytest.approx(-2.0)
 
 
 def test_pearson_paper_sign_literal():
     p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="paper")
     grid = build_grid("continuous", 0.0, 4.0, 5)  # grid.points[2] == 2.0
-    assert PearsonPotential(p).intensity_on(grid)[2] == pytest.approx(2.0)
+    assert PearsonPotential(p).intensity(grid.points)[2] == \
+        pytest.approx(2.0)
 
 
 def test_pearson_denominator_root_rejected():
@@ -204,6 +282,14 @@ def test_pearson_denominator_root_rejected():
     grid = build_grid("continuous", 0.0, 2.0, 201)  # root at x = 1
     with pytest.raises(PotentialError):
         pearson_density(p, grid)
+
+
+def test_pearson_denominator_sign_change_rejected():
+    # the root x = 1 falls between grid points; one point is fine
+    p = PearsonPotential(PearsonParams(a=0.0, b0=-1.0, b1=0.0, b2=1.0))
+    with pytest.raises(PotentialError, match="root"):
+        p.intensity(build_grid("continuous", 0.0, 2.0, 200).points)
+    assert p.intensity(2.0) == pytest.approx(-2.0 / 3.0)
 
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (2.0, 0.5)])
@@ -316,7 +402,7 @@ def test_pearson_density_equals_integrated_intensity():
     p = PearsonParams(a=0.5, b0=2.0, b1=0.1, b2=0.0)
     grid = build_grid("continuous", -6.0, 7.0, 1301)
     table = IntensityTable(grid=grid, kind="causal",
-                           values=PearsonPotential(p).intensity_on(grid))
+                           values=PearsonPotential(p).intensity(grid.points))
     expected = density_from_intensity(table)
     got = pearson_density(p, grid)
     assert np.array_equal(got.values, expected.values)

@@ -276,10 +276,11 @@ def test_polynomial_intensity_matches_polyval_of_polyder():
 
 @pytest.mark.parametrize("coeffs", [(-3.0,), (2.0,), (0.0, -1.5),
                                     (1.0, 0.0, -1.0, 0.0, 0.25)])
-def test_polynomial_intensity_on_keeps_its_bits(coeffs):
-    # a negative constant gives -0.0 at x >= 0 and +0.0 below
+def test_polynomial_causal_intensity_keeps_its_bits(coeffs):
+    # a negative constant gives -0.0 at x >= 0 and +0.0 below; the signs
+    # reach the E_c column of transform --to intensity
     g = build_grid("continuous", -2, 2, 9)
-    got = PolynomialPotential(coeffs).intensity_on(g)
+    got = causal_intensity(PolynomialPotential(coeffs), g).values
     want = _polyval_intensity(coeffs, g.points)
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
-                     LinearConstant, Normal, PolynomialPotential, SimConfig,
-                     StabilityError, TabulatedPotential, build_grid,
+                     LinearConstant, Normal, PearsonParams, PearsonPotential,
+                     Poisson, PolynomialPotential, SimConfig, StabilityError,
+                     TabulatedPotential, UniformLattice, build_grid,
                      normalize, simulate, tv_distance)
 from equilib.potential import causal_intensity
 
@@ -164,11 +165,15 @@ def _reflect(x, lower, upper):
 
 
 def _reference_simulate(config):
-    """Whole-array Euler-Maruyama: all noise and kept positions at once."""
+    """Whole-array Euler-Maruyama: all noise and kept positions at once.
+
+    The drift is the closed-form intensity where simulate's is (the spec
+    has ``scaled_intensity``), else the interpolated E_c table."""
     grid = config.grid
     ec = causal_intensity(config.potential, grid)
-    drift = (getattr(config.potential, "intensity", None)
-             or (lambda x: np.interp(x, grid.points, ec.values)))
+    drift = (config.potential.intensity
+             if hasattr(config.potential, "scaled_intensity")
+             else (lambda x: np.interp(x, grid.points, ec.values)))
     rng = np.random.Generator(np.random.Philox(config.seed))
     x = rng.uniform(grid.lower, grid.upper, config.n_chains)
     noise = rng.standard_normal((config.n_steps, config.n_chains))
@@ -195,6 +200,9 @@ WELL = TabulatedPotential(grid=WELL_GRID,
                           values=(WELL_GRID.points ** 2 - 1.0) ** 2 / 2)
 QUARTIC_GRID = build_grid("continuous", -4, 4, 33)
 QUARTIC = PolynomialPotential((1.0, 0.0, -1.0, 0.0, 0.25))
+# a closed-form intensity, but an interpolated drift; a Pearson normal's
+# linear -U' interpolates to within an ulp, so b2 > 0 bends it
+PEARSON = PearsonPotential(PearsonParams(a=0.5, b0=2.0, b1=0.0, b2=0.25))
 
 
 # 60 steps: blocks of 1, 7 and 13 steps (13 does not divide 60), one
@@ -206,8 +214,10 @@ QUARTIC = PolynomialPotential((1.0, 0.0, -1.0, 0.0, 0.25))
 @pytest.mark.parametrize("burn_in", [0, 10, 30])
 @pytest.mark.parametrize("potential,grid", [(HARMONIC, HARMONIC_GRID),
                                             (WELL, WELL_GRID),
-                                            (QUARTIC, QUARTIC_GRID)],
-                         ids=["family", "tabulated", "polynomial"])
+                                            (QUARTIC, QUARTIC_GRID),
+                                            (PEARSON, HARMONIC_GRID)],
+                         ids=["family", "tabulated", "polynomial",
+                              "pearson"])
 def test_blocks_match_whole_array_loop(potential, grid, burn_in, block,
                                        monkeypatch):
     cfg = SimConfig(potential=potential, grid=grid, dt=5e-3, n_steps=60,
@@ -324,13 +334,19 @@ def test_lean_polynomial_drift_matches_oracle(coeffs, grid, monkeypatch):
 # unchecked family drift
 
 
-# most of each density's mass lies by the lower wall, so chains reflect
-# there often; the oracle's drift stays the checked intensity(x) * dt,
-# while simulate checks the support on the grid's points alone
+# every family; most of the Exponential and Gamma mass lies by the lower
+# wall, so chains reflect there often; the oracle's drift stays the checked
+# intensity(x) * dt, while simulate checks the support on the grid's points
+# alone
 @pytest.mark.parametrize("family,grid", [
     (Exponential(1.0), build_grid("continuous", 0, 12, 49)),
     (Gamma(0.3, 1.0), build_grid("continuous", 0.05, 8, 49)),
-], ids=["exponential", "gamma"])
+    (Normal(-1.0, 0.8), build_grid("continuous", -3, 3, 49)),
+    (LinearConstant(1.0, 2.0), build_grid("continuous", -4, 3, 49)),
+    (UniformLattice(5), build_grid("continuous", -2, 2, 21)),
+    (Poisson(3.0), build_grid("continuous", 0, 15, 61)),
+], ids=["exponential", "gamma", "normal", "linear_constant", "uniform",
+        "poisson"])
 def test_unchecked_family_drift_matches_oracle(family, grid, monkeypatch):
     cfg = SimConfig(potential=family, grid=grid, dt=5e-3, n_steps=200,
                     burn_in=20, n_chains=5, seed=23)
