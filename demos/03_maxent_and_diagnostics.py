@@ -1,9 +1,10 @@
 """Maximum-entropy densities under a moment constraint.
 
 Fixing the mean of u(x) and maximizing entropy yields the exponential
-family k(lambda) e^(-lambda u).  The solver finds the multiplier by a
-damped Newton iteration; the entropy and Fisher diagnostics then verify
-the textbook identities on the solution.
+family k(lambda) e^(-lambda u).  The solver finds the multiplier by
+bracketed Newton: each step takes the Newton point if it lies strictly
+inside the bracket, else the midpoint; the entropy and Fisher diagnostics
+then verify the textbook identities on the solution.
 """
 
 import numpy as np

@@ -294,6 +294,8 @@ class Gamma(_Family):
 
     def scaled_intensity(self, x, scale, out):
         shape, rate = self._drift
+        if self.alpha == 1.0:  # no log term: E_c(0) is -1/beta, not -0/0
+            return np.multiply(-rate, scale, out)
         np.divide(shape, x, out)
         np.subtract(out, rate, out)
         return np.multiply(out, scale, out)

@@ -176,8 +176,7 @@ def cmd_maxent(args) -> int:
     else:
         target = args.moment
     problem = MaxEntProblem(u=u, grid=grid, target_moment=target,
-                            lambda_init=args.lambda_init, tol=args.tol,
-                            max_iter=args.max_iter)
+                            tol=args.tol, max_iter=args.max_iter)
     solution = solve_maxent(problem)
     io.dump_json(args.out, {
         "kind": "maxent_solution",
@@ -310,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--moment", type=float)
     group.add_argument("--samples")
-    p.add_argument("--lambda-init", type=float, default=0.0)
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=100)
     _add_grid_args(p)

@@ -61,8 +61,12 @@ def shannon_entropy(f: EquilibriumDensity) -> float:
 
 
 def fisher_information_number(u, lam: float, grid: Grid) -> float:
-    """Var[u(X)] under the density k(lambda) e^(-lambda u)."""
-    return _moment_and_var(lam, eval_potential(u, grid), grid)[1]
+    """Var[u(X)] under the density k(lambda) e^(-lambda u).
+
+    Taken of u - min u, which has the same variance and no offset to cancel.
+    """
+    uvals = eval_potential(u, grid)
+    return _moment_and_var(lam, uvals - np.min(uvals), grid)[1]
 
 
 @dataclass(frozen=True)

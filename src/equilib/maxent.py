@@ -2,14 +2,16 @@
 
 Given a potential function u(x) and a target moment m, find the multiplier
 lambda such that the equilibrium density k(lambda) e^(-lambda u(x)) has
-E[u] = m.  The solver is damped Newton on g(lambda) = E_lambda[u] - m with
-the analytic derivative g'(lambda) = -Var_lambda[u], falling back to
-bisection on a bracket grown by doubling when Newton stalls.
+E[u] = m.  The solver is bracketed Newton (Numerical Recipes, 3rd ed.,
+9.4 rtsafe) on g(lambda) = E_lambda[d] - (m - min u) for d = u - min u,
+with the analytic derivative g'(lambda) = -Var_lambda[d]: each step moves
+one end of the bracket by the sign of g and takes the Newton point if it
+lies strictly inside the bracket, else the midpoint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -28,13 +30,11 @@ class MaxEntProblem:
     u: object                 # potential spec for u(x)
     grid: Grid
     target_moment: float
-    lambda_init: float = 0.0
     tol: float = 1e-10
     max_iter: int = 100
 
     def __post_init__(self):
         require_real(self.target_moment, "target_moment", FormatError)
-        require_real(self.lambda_init, "lambda_init", FormatError)
         require_real(self.tol, "tol", FormatError, positive=True)
         require_integer(self.max_iter, "max_iter", FormatError, 1)
 
@@ -87,54 +87,37 @@ def solve_maxent(p: MaxEntProblem) -> MaxEntSolution:
             f"({umin}, {umax})"
         )
 
-    lam = float(p.lambda_init)
-    mean, var, f = _moment_and_var(lam, uvals, p.grid)
-    g = mean - p.target_moment
+    # moments of d = u - min u, so an offset in u does not cancel
+    d = uvals - umin
+    target = p.target_moment - umin
+    lam, lo, hi = 0.0, -np.inf, np.inf
+    mean, var, f = _moment_and_var(lam, d, p.grid)
+    g = mean - target
     iterations = 0
-    # E_lambda[u] is strictly decreasing in lambda, so g brackets track sign
-    lo = hi = None  # lo: g > 0 (lambda too small), hi: g < 0
-    step_scale = 1.0
-
     while iterations < p.max_iter and abs(g) > p.tol:
         iterations += 1
+        # E_lambda[d] falls as lambda grows: g > 0 means lambda is too small
         if g > 0:
             lo = lam
         else:
             hi = lam
-        took_newton = False
-        if var > 0:
-            cand = lam + g / var
-            if lo is not None and hi is not None:
-                took_newton = lo < cand < hi
-            else:
-                took_newton = np.isfinite(cand)
-        if took_newton:
-            new_lam = cand
-        elif lo is not None and hi is not None:
-            new_lam = 0.5 * (lo + hi)
-        else:
-            # grow a bracket by doubling away from the start
-            step_scale = max(2.0 * step_scale, 1.0)
-            new_lam = lam + (step_scale if g > 0 else -step_scale)
-
-        new_mean, new_var, new_f = _moment_and_var(new_lam, uvals, p.grid)
-        new_g = new_mean - p.target_moment
-        # damp Newton steps that fail to reduce |g|
-        halvings = 0
-        while took_newton and abs(new_g) >= abs(g) and halvings < 50:
-            new_lam = 0.5 * (lam + new_lam)
-            new_mean, new_var, new_f = _moment_and_var(new_lam, uvals, p.grid)
-            new_g = new_mean - p.target_moment
-            halvings += 1
-        lam, g, var, f = new_lam, new_g, new_var, new_f
+        # the range check makes u non-constant, so Var > 0 at lambda = 0 and
+        # a Newton step from a one-sided bracket lands inside it: the
+        # midpoint is taken only once both ends are finite
+        lam = lam + g / var
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+        mean, var, f = _moment_and_var(lam, d, p.grid)
+        g = mean - target
 
     converged = abs(g) <= p.tol
     upot = normalized_potential(
-        TabulatedPotential(grid=p.grid, values=lam * uvals), p.grid
+        TabulatedPotential(grid=p.grid, values=lam * d), p.grid
     )
     return MaxEntSolution(
         lam=lam,
-        density=f,
+        # ln Omega of e^(-lambda u) = ln Omega of e^(-lambda d) - lambda min u
+        density=replace(f, log_omega=f.log_omega - lam * umin),
         normalized_potential=upot,
         iterations=iterations,
         residual=abs(g),

@@ -225,6 +225,13 @@ def test_gamma_support_takes_zero_only_at_shape_one():
         [0.0, 0.0]
 
 
+def test_gamma_shape_one_intensity_at_zero_is_minus_rate():
+    # alpha = 1 has no log term, so E_c(0) = -1/beta rather than -0/0
+    fam = Gamma(1.0, 2.0)
+    assert fam.intensity(0.0) == -0.5
+    assert fam.intensity(np.array([-0.0, 0.0, 3.0])).tolist() == [-0.5] * 3
+
+
 @pytest.mark.parametrize("fam", [Normal(1.0, 2.0), LinearConstant(1.0, 0.5),
                                  UniformLattice(4)], ids=repr)
 def test_unbounded_support_takes_negative_x(fam):

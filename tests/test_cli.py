@@ -546,6 +546,21 @@ SIM_CONFIG = {
 }
 
 
+def test_gamma_shape_one_on_a_grid_from_zero(tmp_path):
+    # E_c(0) = -1/beta: a finite intensity table and a stable simulation
+    out = tmp_path / "g.csv"
+    assert run("catalog", "--family", "gamma", "--alpha", 1, "--beta", 2,
+               "--lower", 0, "--upper", 10, "--points", 11,
+               "--out", out) == 0
+    assert io.read_table(out)["E_c"].tolist() == [-0.5] * 11
+    cfg = dict(SIM_CONFIG, n_steps=2000, burn_in=200,
+               potential={"family": "gamma", "alpha": 1.0, "beta": 2.0},
+               grid={"grid_kind": "continuous", "lower": 0.0, "upper": 10.0,
+                     "n_points": 11})
+    assert run("simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+               "--out", tmp_path / "res.json") == 0
+
+
 def test_simulate_reproducible_bytes(tmp_path, capsys):
     cfg = write_json(tmp_path / "cfg.json", SIM_CONFIG)
     outs, hists = [], []

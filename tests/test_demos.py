@@ -1,4 +1,5 @@
-"""The demos only use names the package exports, and demos 01 and 02 run."""
+"""The demos only use names the package exports, and demos 01, 02, 03 and
+05 run."""
 
 import ast
 import importlib
@@ -39,6 +40,9 @@ DEMO_OUTPUT = {
     "02_roundtrip_transforms.py": [
         "Poisson lattice causal round trip: mode at x = 2,",
         "Poisson lattice stochastic round trip: mode at x = 2,"],
+    "03_maxent_and_diagnostics.py": ["iterations=",
+                                     "infeasible target rejected"],
+    "05_decompose_samples.py": ["fitted intensity slope"],
 }
 
 

@@ -85,6 +85,15 @@ def test_fisher_number_constant_potential():
                                                                      abs=1e-12)
 
 
+@pytest.mark.parametrize("c, rel", [(1e3, 1e-12), (1e8, 1e-9)])
+def test_fisher_number_of_an_offset_potential(c, rel):
+    # Var[u] does not depend on a constant in u, which must not cancel
+    g = build_grid("continuous", 0, 1, 2001)
+    var = fisher_information_number(PolynomialPotential((c, 1.0)), 2.0, g)
+    assert var == pytest.approx(
+        fisher_information_number(X, 2.0, g), rel=rel)
+
+
 @pytest.mark.parametrize("u,lams,grid", [
     (X, [0.5, 1.0, 2.0], build_grid("continuous", 0, 40, 4001)),
     (X2, [0.5, 1.0], build_grid("continuous", -8, 8, 4001)),

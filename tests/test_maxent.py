@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import equilib.maxent
+
 from equilib import (EquilibriumDensity, MomentRangeError, MaxEntProblem,
                      PolynomialPotential, SampleError, TabulatedPotential,
                      build_grid, normalize, sample_u_moment, shannon_entropy,
@@ -94,6 +96,64 @@ def test_iteration_budget_reported():
     assert not sol.converged
     assert sol.iterations == 2
     assert sol.residual > 0
+
+
+def _record_lambdas(monkeypatch):
+    """The lambda of every _moment_and_var call the solver makes."""
+    lams, moment_and_var = [], equilib.maxent._moment_and_var
+
+    def spy(lam, uvals, grid):
+        lams.append(lam)
+        return moment_and_var(lam, uvals, grid)
+
+    monkeypatch.setattr(equilib.maxent, "_moment_and_var", spy)
+    return lams
+
+
+def test_target_above_the_flat_mean_gives_negative_lambda():
+    g = build_grid("continuous", 0, 40, 2001)
+    sol = solve_maxent(MaxEntProblem(u=X, grid=g, target_moment=30.0))
+    assert sol.converged
+    assert sol.lam < 0
+    assert abs(u_moment(sol.density, X) - 30.0) <= 1e-10
+
+
+def test_newton_point_outside_the_bracket_takes_the_midpoint(monkeypatch):
+    lams = _record_lambdas(monkeypatch)
+    g = build_grid("continuous", -1, 2, 2001)
+    sol = solve_maxent(MaxEntProblem(
+        u=PolynomialPotential((0.0,) * 5 + (1.0,)), grid=g,
+        target_moment=15.5))
+    assert sol.converged
+    assert sol.lam == pytest.approx(-0.1140075, abs=1e-7)
+    # the first step overshoots to lambda < 0, whose Newton point lies past
+    # hi = 0, so the next lambda is the midpoint of the first two
+    assert lams[1] < 0
+    assert lams[2] == 0.5 * (lams[0] + lams[1])
+
+
+@pytest.mark.parametrize("c, rel", [(1e3, 1e-12), (1e8, 1e-9), (1e10, 1e-6)])
+@pytest.mark.parametrize("m", [0.3, 0.7])
+def test_offset_u_solves_like_u_without_it(c, rel, m):
+    g = build_grid("continuous", 0, 1, 2001)
+    u = PolynomialPotential((c, 1.0))
+    sol = solve_maxent(MaxEntProblem(u=u, grid=g, target_moment=c + m))
+    ref = solve_maxent(MaxEntProblem(u=X, grid=g,
+                                     target_moment=(c + m) - c))
+    assert sol.converged and sol.iterations <= 10
+    assert sol.lam == pytest.approx(ref.lam, rel=rel)
+    # log_k belongs to e^(-lambda u), offset included
+    expected = sol.lam * u.values_on(g) + sol.density.log_omega
+    assert np.max(np.abs(sol.normalized_potential.values - expected)) \
+        <= 1e-12 * abs(sol.lam) * c
+
+
+def test_one_moment_evaluation_per_iteration(monkeypatch):
+    lams = _record_lambdas(monkeypatch)
+    g = build_grid("continuous", 0, 40, 2001)
+    sol = solve_maxent(MaxEntProblem(u=X, grid=g, target_moment=0.5))
+    assert sol.converged
+    assert len(lams) == sol.iterations + 1
 
 
 # ---------------------------------------------------------------------------
