@@ -15,10 +15,10 @@
                                does not already settle them
 
 and is itself a potential spec (``values_on``, ``intensity``,
-``scaled_intensity`` and ``at``), so it goes to the transforms and the
-simulator as is.  Each family writes its -U' once, in place and without
-the support check, in ``scaled_intensity(x, scale, out)``; ``intensity`` is
-the check plus that at scale 1.
+``euler_map`` and ``at``), so it goes to the transforms and the simulator
+as is.  Each family writes its -U' once, in place and without the support
+check, in ``scaled_intensity(x, scale, out)``; ``intensity`` is the check
+plus that at scale 1, and ``euler_map(dt)`` is that at scale dt plus x.
 The Poisson potential takes ln Gamma from ``special.gammaln``.  The module
 also holds the Pearson-system generator, whose density is the normalized
 integral of its causal intensity on a grid.
@@ -87,6 +87,11 @@ class _Family:
     def intensity(self, x):
         x = self._check(x)
         return self.scaled_intensity(x, 1.0, np.empty_like(x))
+
+    def euler_map(self, dt):
+        """x + dt * intensity(x), unchecked, as the map ``(x, out) -> out``."""
+        dt = np.array(dt)
+        return lambda x, out: np.add(x, self.scaled_intensity(x, dt, out), out)
 
     def at(self, x):
         return self.potential(x)

@@ -4,9 +4,9 @@ Given a potential function u(x) and a target moment m, find the multiplier
 lambda such that the equilibrium density k(lambda) e^(-lambda u(x)) has
 E[u] = m.  The solver is bracketed Newton (Numerical Recipes, 3rd ed.,
 9.4 rtsafe) on g(lambda) = E_lambda[d] - (m - min u) for d = u - min u,
-with the analytic derivative g'(lambda) = -Var_lambda[d]: each step moves
-one end of the bracket by the sign of g and takes the Newton point if it
-lies strictly inside the bracket, else the midpoint.
+with g'(lambda) = -Var_lambda[d]: each step moves one end of the bracket
+by the sign of g and takes the Newton point if strictly inside it, else
+the midpoint; the loop ends when that is an end, as no float is left.
 """
 
 from __future__ import annotations
@@ -95,7 +95,6 @@ def solve_maxent(p: MaxEntProblem) -> MaxEntSolution:
     g = mean - target
     iterations = 0
     while iterations < p.max_iter and abs(g) > p.tol:
-        iterations += 1
         # E_lambda[d] falls as lambda grows: g > 0 means lambda is too small
         if g > 0:
             lo = lam
@@ -104,9 +103,13 @@ def solve_maxent(p: MaxEntProblem) -> MaxEntSolution:
         # the range check makes u non-constant, so Var > 0 at lambda = 0 and
         # a Newton step from a one-sided bracket lands inside it: the
         # midpoint is taken only once both ends are finite
-        lam = lam + g / var
-        if not lo < lam < hi:
-            lam = 0.5 * (lo + hi)
+        step = lam + g / var
+        if not lo < step < hi:
+            step = 0.5 * (lo + hi)
+        if step in (lo, hi):  # no float is left strictly inside the bracket
+            break
+        iterations += 1
+        lam = step
         mean, var, f = _moment_and_var(lam, d, p.grid)
         g = mean - target
 

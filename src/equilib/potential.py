@@ -24,9 +24,9 @@ values as ``isnan(values)`` and is never stored apart from them.
 
 A "potential spec" is any object with a ``values_on(grid)`` method
 returning the tabulated potential; objects may additionally provide
-``intensity(x)`` (the closed-form -U' at any points), ``scaled_intensity(x,
-scale, out)`` (scale times it, written into ``out``: the simulator's drift;
-a catalog family writes its -U' only there) and ``at(x)`` (pointwise
+``intensity(x)`` (the closed-form -U' at any points), ``euler_map(dt)``
+(the simulator's Euler step x -> x + dt * intensity(x), as a map
+``(x, out) -> out`` that writes into ``out``) and ``at(x)`` (pointwise
 evaluation off the grid).
 ``TabulatedPotential``, ``PolynomialPotential``, ``PearsonPotential`` and
 the catalog families themselves are potential specs.
@@ -108,16 +108,6 @@ class PolynomialPotential:
                            tuple(float(c) for c in self.coeffs))
         d = np.polynomial.polynomial.polyder(self.coeffs).tolist()
         object.__setattr__(self, "_dcoeffs", d)
-        # scaled_intensity's Horner on -U' = sum_j (-d[j]) x**j: x times the
-        # negated leading nonzero coefficient (-0 if U' is constant), then
-        # steps by x (None) or a negated nonzero one, as 0-d arrays; rounding
-        # is symmetric, so each step has the bits of -(the step on U')
-        top = max((j for j, c in enumerate(d) if c), default=0)
-        steps = [op for c in reversed(d[:top]) for op in (None, c) if op != 0]
-        lead, steps = (d[top], steps[1:]) if top else (0.0, d[:1])
-        object.__setattr__(self, "_horner", (
-            np.array(-lead),
-            [None if c is None else np.array(-c) for c in steps]))
 
     def at(self, x):
         x = np.asarray(x, dtype=float)
@@ -127,27 +117,32 @@ class PolynomialPotential:
         return self.at(grid.points)
 
     def intensity(self, x):
-        """-U'(x) by in-place Horner, with the bits of -polyval(x, U')."""
+        """-U'(x), as -polyval(x, U')."""
         x = np.asarray(x, dtype=float)
-        out = x * 0.0
-        out += self._dcoeffs[-1]
-        for c in self._dcoeffs[-2::-1]:
-            out *= x
-            out += c
-        out *= -1.0
-        return out
+        return -np.polynomial.polynomial.polyval(x, self._dcoeffs)
 
-    def scaled_intensity(self, x, scale, out):
-        """intensity(x) * scale into ``out``, equal to it under ``==``
-        (skipped zero terms may flip only the sign of a zero drift)."""
-        lead, steps = self._horner
-        np.multiply(x, lead, out)
-        for c in steps:
-            if c is None:
-                np.multiply(out, x, out)
-            else:
-                np.add(out, c, out)
-        return np.multiply(out, scale, out)
+    def euler_map(self, dt):
+        """x + dt * intensity(x) as the map ``(x, out) -> out``: in-place
+        Horner on q = x - dt U', with the bits of polyval(x, q) but for the
+        sign of a zero (zero terms are skipped; constants are 0-d arrays)."""
+        q = [-dt * c for c in self._dcoeffs] + [0.0]
+        q[1] += 1.0
+        # out = x * q[top]; then per lower power j, times x (None; the first
+        # is the one above) and plus q[j] where it is not 0
+        top = max(j for j, c in enumerate(q) if c or j == 1)
+        ops = [op for c in reversed(q[:top]) for op in (None, c) if op != 0]
+        steps = [None if c is None else np.array(c) for c in ops[1:]]
+        lead, multiply, add = np.array(q[top]), np.multiply, np.add
+
+        def advance(x, out):
+            multiply(x, lead, out)
+            for c in steps:
+                if c is None:
+                    multiply(out, x, out)
+                else:
+                    add(out, c, out)
+            return out
+        return advance
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 """Stochastic-dynamics verification of the Boltzmann equilibrium.
 
 Overdamped Euler-Maruyama with unit diffusion: the drift is the causal
-intensity -dU/dx (the potential's ``scaled_intensity`` where it has one,
+intensity -dU/dx (the potential's ``euler_map(dt)`` where it has one,
 else the tabulated -U' interpolated on the grid) and the stationary
 density of the continuous dynamics is exactly k e^(-U), so the long-run
 histogram must converge to the quadrature density.  Chains reflect at the
@@ -17,14 +17,15 @@ O(chains x block + points) and ``n_steps`` has no memory ceiling: a huge
 run takes long rather than failing to allocate.  Each block's kicks fill
 the path buffer in C order, which is the stream's order, and integer
 counts sum exactly, so the result's bits do not depend on the block size.
-Step t writes dt * E_c(x) into one scratch vector (the potential's
-``scaled_intensity``), reads its kicks from row t and overwrites that row
-in place: a step allocates nothing on a polynomial or a family but Poisson's
-digamma, and only the interpolated E_c(x) on a table or Pearson spec.  dt,
-the lower bound and the reflection period are 0-d arrays built once per
-run, and each step's ufuncs take their out positionally (np.minimum keeps
-``out=``, as NumPy 2.4 deprecates a third positional argument there), so
-no step converts a Python float or parses a keyword.
+Step t writes x + dt * E_c(x) into one scratch vector (``euler_map(dt)``;
+on a polynomial, one Horner pass on x - dt U'), adds row t's kicks, which
+the block offsets by -lower, reflects and overwrites that row in place: a
+step allocates nothing on a polynomial or a family but Poisson's digamma,
+and only the interpolated E_c(x) on a table or Pearson spec.  dt, the lower
+bound and the reflection period are 0-d arrays built once per run, and each
+step's ufuncs take their out positionally (np.minimum keeps ``out=``, as
+NumPy 2.4 deprecates a third positional argument there), so no step
+converts a Python float or parses a keyword.
 """
 
 from __future__ import annotations
@@ -100,11 +101,13 @@ def simulate(config: SimConfig) -> SimResult:
             f"{STABILITY_LIMIT} stability guard"
         )
 
-    # drift(x, dt, y) writes dt * E_c(x) into y: closed form where the
-    # potential has one, else interpolated
-    drift = (getattr(config.potential, "scaled_intensity", None)
-             or (lambda x, scale, out: np.multiply(
-                 np.interp(x, grid.points, ec.values), scale, out)))
+    # advance(x, y) writes x + dt * E_c(x) into y: the potential's own Euler
+    # map where it has one, else with the interpolated E_c
+    dt = np.array(config.dt)
+    advance = (config.potential.euler_map(config.dt)
+               if hasattr(config.potential, "euler_map") else
+               (lambda x, out: np.add(x, np.multiply(
+                   np.interp(x, grid.points, ec.values), dt, out), out)))
 
     rng = np.random.Generator(np.random.Philox(config.seed))
     x = rng.uniform(grid.lower, grid.upper, config.n_chains)
@@ -115,7 +118,7 @@ def simulate(config: SimConfig) -> SimResult:
     block = min(config.n_steps, max(1, BLOCK_ELEMENTS // config.n_chains))
     path = np.empty((block, config.n_chains))
     y, z = np.empty(config.n_chains), np.empty(config.n_chains)
-    amp, dt = np.sqrt(2.0 * config.dt), np.array(config.dt)
+    amp = np.sqrt(2.0 * config.dt)
     lower = np.array(grid.lower)
     period = np.array(2.0 * (grid.upper - grid.lower))
     add, subtract, mod, minimum = np.add, np.subtract, np.mod, np.minimum
@@ -123,16 +126,15 @@ def simulate(config: SimConfig) -> SimResult:
         m = min(block, config.n_steps - start)
         kicks = rng.standard_normal(out=path[:m])
         np.multiply(kicks, amp, kicks)
+        np.subtract(kicks, lower, kicks)
         for row in kicks:
-            # (x + E dt) + kick, folded back into [lower, upper]
-            drift(x, dt, y)
-            add(x, y, y)
+            # (x + E dt) + (kick - lower), folded back into [lower, upper]
+            advance(x, y)
             add(y, row, y)
-            subtract(y, lower, y)
             mod(y, period, y)
             subtract(period, y, z)
             minimum(y, z, out=y)
-            x = add(lower, y, row)
+            x = add(y, lower, row)
         x = x.copy()  # the next block's kicks overwrite this row
         # burn-in may end mid-block; integer counts merge exactly
         skip = max(0, config.burn_in - start)

@@ -309,20 +309,50 @@ DRIFT_FAMILIES = [(f, f.default_grid()) for f in
 SCALES = st.floats(1e-6, 1.0) | st.floats(1e-6, 1.0).map(np.array)
 
 
+def _family_points(g, inside):
+    """Both ends of a default grid and the drawn fractions of it."""
+    return np.concatenate(([g.lower, g.upper],
+                           g.lower + (g.upper - g.lower) * np.array(inside)))
+
+
+@given(st.lists(st.floats(0, 1), max_size=20), SCALES)
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_scaled_intensity_equals_intensity_times_scale(inside, scale):
+    # every family is checked at both ends of its default grid and inside
+    for family, g in DRIFT_FAMILIES:
+        x = _family_points(g, inside)
+        out = np.empty_like(x)
+        assert family.scaled_intensity(x, scale, out) is out
+        assert np.all(out == family.intensity(x) * scale)
+
+
+def _gamma(k):
+    """Higham's gamma_k = k u / (1 - k u), with u = 2**-53."""
+    return k * 2.0 ** -53 / (1.0 - k * 2.0 ** -53)
+
+
 @given(sparse_drift_cases(), st.lists(st.floats(0, 1), max_size=20), SCALES)
 @settings(max_examples=150, deadline=None, derandomize=True)
-def test_scaled_intensity_equals_intensity_times_scale(case, inside, scale):
-    # zero coefficients are skipped, which may flip only the sign of a zero;
-    # every family is checked at both ends of its default grid and inside
+def test_euler_map_is_x_plus_intensity_times_dt(case, inside, dt):
+    # a polynomial's Horner on q = x - dt U' and x + intensity(x) * dt each
+    # err by at most gamma_(2n+2) (|x| + dt sum_j |d_j| |x|^j), n the degree
+    # of U' (Higham, "Accuracy and Stability of Numerical Algorithms", 2nd
+    # ed., 2002, sec. 5.1); a family's map keeps the bits
     coeffs, x = case
-    cases = [(PolynomialPotential(coeffs), x)]
+    p = PolynomialPotential(coeffs)
+    out = np.empty_like(x)
+    assert p.euler_map(dt)(x, out) is out
+    P = np.polynomial.polynomial
+    d = P.polyder(coeffs)
+    n = max((j for j, c in enumerate(d) if c), default=0)
+    bound = 2.0 * _gamma(2 * n + 2) * (
+        np.abs(x) + dt * P.polyval(np.abs(x), np.abs(d)))
+    assert np.all(np.abs(out - (x + p.intensity(x) * dt)) <= bound)
     for family, g in DRIFT_FAMILIES:
-        points = g.lower + (g.upper - g.lower) * np.array(inside)
-        cases.append((family, np.concatenate(([g.lower, g.upper], points))))
-    for p, x in cases:
-        out = np.empty_like(x)
-        assert p.scaled_intensity(x, scale, out) is out
-        assert np.all(out == p.intensity(x) * scale)
+        x = _family_points(g, inside)
+        got = family.euler_map(dt)(x, np.empty_like(x))
+        want = x + family.intensity(x) * dt
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------

@@ -158,30 +158,34 @@ def test_stability_margin_is_dt_times_max_intensity():
 # streaming in blocks against the whole-array loop
 
 
-def _reflect(x, lower, upper):
-    period = 2.0 * (upper - lower)
-    y = np.mod(x - lower, period)
-    return lower + np.minimum(y, period - y)
-
-
 def _reference_simulate(config):
     """Whole-array Euler-Maruyama: all noise and kept positions at once.
 
-    The drift is the closed-form intensity where simulate's is (the spec
-    has ``scaled_intensity``), else the interpolated E_c table."""
-    grid = config.grid
-    ec = causal_intensity(config.potential, grid)
-    drift = (config.potential.intensity
-             if hasattr(config.potential, "scaled_intensity")
+    A step is y = mod(x + E dt + (amp xi - lower), P), x = min(y, P - y)
+    + lower, with P = 2 (upper - lower).  On a polynomial, x + E dt is
+    polyval(x, q) for q = x - dt U'; elsewhere it is x + E(x) * dt, with E
+    the closed-form intensity where simulate's is (the spec has
+    ``euler_map``), else the interpolated E_c table."""
+    grid, dt, U = config.grid, config.dt, config.potential
+    P = np.polynomial.polynomial
+    q = (P.polyadd((0.0, 1.0), -dt * P.polyder(U.coeffs))
+         if isinstance(U, PolynomialPotential) else None)
+    ec = causal_intensity(U, grid)
+    drift = (U.intensity if hasattr(U, "euler_map")
              else (lambda x: np.interp(x, grid.points, ec.values)))
+
+    def advance(x):
+        return x + drift(x) * dt if q is None else P.polyval(x, q)
+
     rng = np.random.Generator(np.random.Philox(config.seed))
     x = rng.uniform(grid.lower, grid.upper, config.n_chains)
     noise = rng.standard_normal((config.n_steps, config.n_chains))
+    kicks = np.sqrt(2.0 * dt) * noise - grid.lower
+    period = 2.0 * (grid.upper - grid.lower)
     positions = np.empty((config.n_chains, config.n_steps - config.burn_in))
-    amp = np.sqrt(2.0 * config.dt)
     for t in range(config.n_steps):
-        x = x + drift(x) * config.dt + amp * noise[t]
-        x = _reflect(x, grid.lower, grid.upper)
+        y = np.mod(advance(x) + kicks[t], period)
+        x = np.minimum(y, period - y) + grid.lower
         if t >= config.burn_in:
             positions[:, t - config.burn_in] = x
     pts = grid.points
@@ -286,8 +290,8 @@ def test_polynomial_drift_never_interpolates(monkeypatch):
 
 
 def test_polynomial_drift_never_calls_intensity_per_step(monkeypatch):
-    # the guard's E_c table is the one intensity call; each step's drift
-    # goes through scaled_intensity into the scratch vector
+    # the guard's E_c table is the one intensity call; each step goes
+    # through euler_map into the scratch vector
     intensity = PolynomialPotential.intensity
 
     def grid_only(self, x):
@@ -301,6 +305,40 @@ def test_polynomial_drift_never_calls_intensity_per_step(monkeypatch):
     r = simulate(cfg)
     assert r.n_samples_used == 4 * 450
     assert np.isfinite(r.tv_distance)
+
+
+def test_double_well_step_is_nine_ufunc_calls(monkeypatch):
+    # Horner on x - dt U' = -dt x^3 + (1 + 2 dt) x is 4 calls (times -dt,
+    # times x, plus 1 + 2 dt, times x), then kick, mod, P - y, min and
+    # + lower; the 12-call step drifted, scaled and added x apart
+    calls = []
+
+    class Counting:
+        """A ufunc that records its calls; its methods (reduce, ...) pass."""
+
+        def __init__(self, ufunc):
+            self.ufunc = ufunc
+
+        def __call__(self, *args, **kwargs):
+            calls.append(self.ufunc.__name__)
+            return self.ufunc(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(self.ufunc, name)
+
+    for name in ("add", "subtract", "mod", "minimum", "multiply"):
+        monkeypatch.setattr(np, name, Counting(getattr(np, name)))
+
+    def count(n_steps):
+        calls.clear()
+        simulate(SimConfig(potential=QUARTIC, grid=QUARTIC_GRID, dt=5e-3,
+                           n_steps=n_steps, burn_in=0, n_chains=4, seed=5))
+        return len(calls)
+
+    # both runs are one block, so the difference is 49 steps' calls; the
+    # first run also builds the grid's cached points
+    count(1)
+    assert count(50) - count(1) == 49 * 9
 
 
 # U' constant, zero, with a zero leading coefficient, and the quartic's
