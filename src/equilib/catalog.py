@@ -75,6 +75,11 @@ class _Family:
             else:
                 require_real(value, f.name, SupportError,
                              positive=f.name in self._positive)
+        object.__setattr__(self, "_drift",
+                           tuple(map(_asfloat, self._constants())))
+
+    def _constants(self):  # scaled_intensity's, made 0-d arrays above
+        return ()
 
     def density(self, x):
         return np.exp(-self.normalized_potential(x))
@@ -132,11 +137,8 @@ class Exponential(_Family):
     _positive = ("a",)
     _lowest = 0.0
 
-    def __post_init__(self):
-        super().__post_init__()
-        # scaled_intensity's constant, 0-d: a float operand costs a
-        # conversion on every call
-        object.__setattr__(self, "_neg_a", np.array(-self.a, dtype=float))
+    def _constants(self):
+        return (-self.a,)
 
     def potential(self, x):
         return self.a * self._check(x)
@@ -145,7 +147,7 @@ class Exponential(_Family):
         return self.a * self._check(x) - math.log(self.a)
 
     def scaled_intensity(self, x, scale, out):
-        return np.multiply(self._neg_a, scale, out)
+        return np.multiply(self._drift[0], scale, out)
 
     def default_grid(self) -> Grid:
         return build_grid(CONTINUOUS, 0.0, 40.0 / self.a, DEFAULT_POINTS)
@@ -158,12 +160,12 @@ class Normal(_Family):
     mu: float = 0.0
     sigma: float = 1.0
 
-    def __post_init__(self):
-        super().__post_init__()
+    def _constants(self):
         # sigma**2 is a divisor and a log argument below
         if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
             raise SupportError("sigma must be positive and sigma**2 finite "
                                "and nonzero")
+        return self.mu, -self.sigma ** 2
 
     @classmethod
     def from_b(cls, b: float) -> "Normal":
@@ -180,8 +182,8 @@ class Normal(_Family):
                                                   * self.sigma ** 2)
 
     def scaled_intensity(self, x, scale, out):
-        np.subtract(x, self.mu, out)
-        np.divide(out, -self.sigma ** 2, out)
+        np.subtract(x, self._drift[0], out)
+        np.divide(out, self._drift[1], out)
         return np.multiply(out, scale, out)
 
     def default_grid(self) -> Grid:
@@ -200,6 +202,9 @@ class LinearConstant(_Family):
     b: float
     _positive = ("b",)
 
+    def _constants(self):
+        return self.b, -self.a
+
     def as_normal(self) -> Normal:
         return Normal(mu=-self.a / self.b, sigma=math.sqrt(1.0 / self.b))
 
@@ -213,8 +218,8 @@ class LinearConstant(_Family):
         return self.b * z * z / 2.0 + 0.5 * math.log(2.0 * math.pi / self.b)
 
     def scaled_intensity(self, x, scale, out):
-        np.multiply(x, self.b, out)
-        np.subtract(-self.a, out, out)
+        np.multiply(x, self._drift[0], out)
+        np.subtract(self._drift[1], out, out)
         return np.multiply(out, scale, out)
 
     def default_grid(self) -> Grid:
@@ -229,6 +234,9 @@ class Poisson(_Family):
     _positive = ("lam",)
     _lowest = 0.0
 
+    def _constants(self):
+        return (math.log(self.lam),)
+
     def potential(self, x):
         x = self._check(x)
         return -x * math.log(self.lam) + gammaln(x + 1.0)
@@ -237,7 +245,7 @@ class Poisson(_Family):
         return self.lam + self.potential(x)
 
     def scaled_intensity(self, x, scale, out):
-        np.subtract(math.log(self.lam), digamma(x + 1.0), out)
+        np.subtract(self._drift[0], digamma(x + 1.0), out)
         return np.multiply(out, scale, out)
 
     def default_grid(self) -> Grid:
@@ -262,12 +270,8 @@ class Gamma(_Family):
     beta: float
     _positive = ("alpha", "beta")
 
-    def __post_init__(self):
-        super().__post_init__()
-        # intensity's two constants as 0-d arrays, for scaled_intensity
-        object.__setattr__(self, "_drift", (
-            np.array(-(1.0 - self.alpha), dtype=float),
-            np.array(1.0 / self.beta, dtype=float)))
+    def _constants(self):
+        return -(1.0 - self.alpha), 1.0 / self.beta
 
     @classmethod
     def from_intensity(cls, a: float, b: float) -> "Gamma":

@@ -13,19 +13,15 @@ every chain without per-chain generators (Salmon et al., SC'11); a chain's
 path therefore depends on ``n_chains``.
 
 Noise is drawn and visits are counted in blocks of steps, so memory is
-O(chains x block + points) and ``n_steps`` has no memory ceiling: a huge
-run takes long rather than failing to allocate.  Each block's kicks fill
-the path buffer in C order, which is the stream's order, and integer
-counts sum exactly, so the result's bits do not depend on the block size.
-Step t writes x + dt * E_c(x) into one scratch vector (``euler_map(dt)``;
-on a polynomial, one Horner pass on x - dt U'), adds row t's kicks, which
-the block offsets by -lower, reflects and overwrites that row in place: a
-step allocates nothing on a polynomial or a family but Poisson's digamma,
-and only the interpolated E_c(x) on a table or Pearson spec.  dt, the lower
-bound and the reflection period are 0-d arrays built once per run, and each
-step's ufuncs take their out positionally (np.minimum keeps ``out=``, as
-NumPy 2.4 deprecates a third positional argument there), so no step
-converts a Python float or parses a keyword.
+O(chains x block + points); the kicks, amp xi - lower, fill each block in
+the stream's (C) order and counts are integers, so no bit depends on the
+block size.  Step t writes x + dt E_c(x) into y, adds row t's kicks, folds y
+into [0, P/2], P = 2 (upper - lower), by mod, P - y and minimum (out by
+keyword: NumPy 2.4 deprecates it positional) and writes y + lower over the
+row: 9 ufunc calls on the double well.  The fold is the identity off the
+walls, so a chunk of CHUNK steps runs clear, without it (6 calls), if the
+last kept every chain dt max|E_c| + REACH amp inside; ``_fold_free`` then
+proves it exact, else it reruns folded on a saved copy of its kicks.
 """
 
 from __future__ import annotations
@@ -42,6 +38,8 @@ RNG_ALGORITHM = "philox4x64"
 STABILITY_LIMIT = 0.5
 # floats per block buffer (1 MiB); a block is this many steps of all chains
 BLOCK_ELEMENTS = 2 ** 17
+CHUNK = 64  # steps per chunk, which runs clear where the fold is identity
+REACH = 6.0  # kick sigmas past the drift that a clear chunk keeps off walls
 
 
 @dataclass(frozen=True)
@@ -84,6 +82,11 @@ def tv_distance(p: EquilibriumDensity, q: EquilibriumDensity) -> float:
     return 0.5 * p.grid.quadrature(np.abs(p.values - q.values))
 
 
+def _fold_free(lo, hi, lower, period):
+    """Whether x = fl(y + lower) in [lo, hi] puts every y in (0, P/2)."""
+    return bool(lower < lo and hi < period * 0.5 + lower)
+
+
 def simulate(config: SimConfig) -> SimResult:
     """Run the chains and compare the histogram with the Boltzmann density."""
     grid = config.grid
@@ -121,20 +124,38 @@ def simulate(config: SimConfig) -> SimResult:
     amp = np.sqrt(2.0 * config.dt)
     lower = np.array(grid.lower)
     period = np.array(2.0 * (grid.upper - grid.lower))
+    reach = margin + REACH * amp  # it sets the speed alone, not the bits
+    near, far = grid.lower + reach, grid.upper - reach
+    lo, hi = x.min(), x.max()
     add, subtract, mod, minimum = np.add, np.subtract, np.mod, np.minimum
     for start in range(0, config.n_steps, block):
         m = min(block, config.n_steps - start)
         kicks = rng.standard_normal(out=path[:m])
         np.multiply(kicks, amp, kicks)
         np.subtract(kicks, lower, kicks)
-        for row in kicks:
-            # (x + E dt) + (kick - lower), folded back into [lower, upper]
-            advance(x, y)
-            add(y, row, y)
-            mod(y, period, y)
-            subtract(period, y, z)
-            minimum(y, z, out=y)
-            x = add(y, lower, row)
+        for c in range(0, m, CHUNK):
+            rows, x0 = kicks[c:c + CHUNK], x
+            for fold in (False, True) if near < lo and hi < far else (True,):
+                if not fold:  # keep the kicks for a folded rerun
+                    saved = rows.copy()
+                x = x0
+                try:
+                    with np.errstate(all=None if fold else "raise"):
+                        for row in rows:
+                            advance(x, y)
+                            add(y, row, y)
+                            if fold:
+                                mod(y, period, y)
+                                subtract(period, y, z)
+                                minimum(y, z, out=y)
+                            x = add(y, lower, row)
+                    lo, hi = rows.min(), rows.max()
+                    if fold or _fold_free(lo, hi, grid.lower, period):
+                        break
+                except (ArithmeticError, ValueError):
+                    if fold:
+                        raise
+                np.copyto(rows, saved)
         x = x.copy()  # the next block's kicks overwrite this row
         # burn-in may end mid-block; integer counts merge exactly
         skip = max(0, config.burn_in - start)

@@ -7,8 +7,8 @@ import pytest
 from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
                      LinearConstant, Normal, PearsonParams, PearsonPotential,
                      Poisson, PolynomialPotential, SimConfig, StabilityError,
-                     TabulatedPotential, UniformLattice, build_grid,
-                     normalize, simulate, tv_distance)
+                     SupportError, TabulatedPotential, UniformLattice,
+                     build_grid, normalize, simulate, tv_distance)
 from equilib.potential import causal_intensity
 
 SIM_MODULE = importlib.import_module("equilib.simulate")
@@ -307,38 +307,229 @@ def test_polynomial_drift_never_calls_intensity_per_step(monkeypatch):
     assert np.isfinite(r.tv_distance)
 
 
-def test_double_well_step_is_nine_ufunc_calls(monkeypatch):
-    # Horner on x - dt U' = -dt x^3 + (1 + 2 dt) x is 4 calls (times -dt,
-    # times x, plus 1 + 2 dt, times x), then kick, mod, P - y, min and
-    # + lower; the 12-call step drifted, scaled and added x apart
+class Counting:
+    """A ufunc that records its calls; its methods (reduce, ...) pass."""
+
+    def __init__(self, ufunc, calls):
+        self.ufunc, self.calls = ufunc, calls
+
+    def __call__(self, *args, **kwargs):
+        self.calls.append(self.ufunc.__name__)
+        return self.ufunc(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self.ufunc, name)
+
+
+def step_call_counter(monkeypatch, potential, grid, seed, n_chains=4):
+    """count(n_steps): the ufunc calls of one simulate run of n_steps."""
     calls = []
-
-    class Counting:
-        """A ufunc that records its calls; its methods (reduce, ...) pass."""
-
-        def __init__(self, ufunc):
-            self.ufunc = ufunc
-
-        def __call__(self, *args, **kwargs):
-            calls.append(self.ufunc.__name__)
-            return self.ufunc(*args, **kwargs)
-
-        def __getattr__(self, name):
-            return getattr(self.ufunc, name)
-
     for name in ("add", "subtract", "mod", "minimum", "multiply"):
-        monkeypatch.setattr(np, name, Counting(getattr(np, name)))
+        monkeypatch.setattr(np, name, Counting(getattr(np, name), calls))
 
     def count(n_steps):
         calls.clear()
-        simulate(SimConfig(potential=QUARTIC, grid=QUARTIC_GRID, dt=5e-3,
-                           n_steps=n_steps, burn_in=0, n_chains=4, seed=5))
+        simulate(SimConfig(potential=potential, grid=grid, dt=5e-3,
+                           n_steps=n_steps, burn_in=0, n_chains=n_chains,
+                           seed=seed))
         return len(calls)
 
-    # both runs are one block, so the difference is 49 steps' calls; the
-    # first run also builds the grid's cached points
-    count(1)
+    count(1)  # the first run also builds the grid's cached points
+    return count
+
+
+def test_double_well_step_is_nine_ufunc_calls(monkeypatch):
+    # Horner on x - dt U' = -dt x^3 + (1 + 2 dt) x is 4 calls (times -dt,
+    # times x, plus 1 + 2 dt, times x), then kick, mod, P - y, min and
+    # + lower; the 12-call step drifted, scaled and added x apart.  Seed 5
+    # starts a chain 0.6 from a wall, so this one chunk runs folded
+    count = step_call_counter(monkeypatch, QUARTIC, QUARTIC_GRID, seed=5)
+    # both runs are one block, so the difference is 49 steps' calls
     assert count(50) - count(1) == 49 * 9
+
+
+def test_clear_double_well_step_is_six_ufunc_calls(monkeypatch):
+    # seed 2 starts every chain more than reach (0.88) inside the walls and
+    # they stay there: every chunk runs clear, the fold's 3 calls skipped;
+    # the two runs differ in the third chunk's last 49 steps
+    start = np.random.Generator(np.random.Philox(2)).uniform(-4, 4, 4)
+    assert np.all(np.abs(start) < 4 - 0.88)
+    count = step_call_counter(monkeypatch, QUARTIC, QUARTIC_GRID, seed=2)
+    chunk = SIM_MODULE.CHUNK
+    assert count(2 * chunk + 50) - count(2 * chunk + 1) == 49 * 6
+
+
+def test_exponential_folds_every_chunk(monkeypatch):
+    # 128 chains keep one by the wall at 0 (the map is 2 calls: -a dt, + x),
+    # so every chunk runs folded, with no clear pass tried
+    count = step_call_counter(monkeypatch, Exponential(1.0),
+                              build_grid("continuous", 0, 12, 49), seed=7,
+                              n_chains=128)
+    chunk = SIM_MODULE.CHUNK
+    assert count(2 * chunk + 50) - count(2 * chunk + 1) == 49 * 7
+
+
+# ---------------------------------------------------------------------------
+# clear chunks: the fold skipped where it is the identity
+
+
+@pytest.mark.parametrize("y,free", [
+    (0.0, False),       # the fold keeps 0, but x = lower fails the test
+    (-0.0, False),      # the fold turns -0 into +0
+    (0.5, True),
+    (4.0, False),       # P/2: the fold keeps it, but x = inner fails
+    (np.nextafter(4.0, np.inf), False),  # the fold takes P - y
+    (np.nan, False),
+])
+def test_fold_free_is_exact(y, free):
+    lower, period = -1.25, 8.0
+    x = np.add(y, lower)
+    assert SIM_MODULE._fold_free(x, x, lower, period) is free
+    folded = np.mod(y, period)
+    folded = np.minimum(folded, period - folded)
+    if free:  # the clear step and the folded one give the same bits
+        assert folded.tobytes() == np.float64(y).tobytes()
+
+
+def test_fold_free_bound_is_tight():
+    # x = inner fails and the float below it passes
+    lower, period = -1.25, 8.0
+    inner = period * 0.5 + lower
+    below = np.nextafter(inner, -np.inf)
+    assert SIM_MODULE._fold_free(lower + 1.0, below, lower, period)
+    assert not SIM_MODULE._fold_free(lower + 1.0, inner, lower, period)
+
+
+def _chunk_story(cfg, margin, monkeypatch):
+    """The oracle's run and, for each chunk that simulate steps, (first
+    step, steps, tried clear, row of its first wall contact or None).
+
+    A chunk is tried clear when the last chunk's positions (or the start)
+    lie more than margin + REACH amp inside both walls; a contact is a step
+    whose pre-fold sum y, which the oracle passes to np.mod, has
+    x = y + lower outside (lower, lower + P/2)."""
+    sums, mod = [], np.mod
+
+    def recording_mod(a, *args):
+        sums.append(np.array(a))
+        return mod(a, *args)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "mod", recording_mod)
+        reference = _reference_simulate(cfg)
+    grid, positions = cfg.grid, reference[3]
+    x = np.array(sums) + grid.lower
+    inner = (grid.upper - grid.lower) + grid.lower
+    contact = ~((x > grid.lower) & (x < inner)).all(axis=1)
+    reach = margin + SIM_MODULE.REACH * np.sqrt(2.0 * cfg.dt)
+    start = np.random.Generator(np.random.Philox(cfg.seed)).uniform(
+        grid.lower, grid.upper, cfg.n_chains)
+    lo, hi = start.min(), start.max()
+    block = min(cfg.n_steps,
+                max(1, SIM_MODULE.BLOCK_ELEMENTS // cfg.n_chains))
+    story = []
+    for b in range(0, cfg.n_steps, block):
+        for t in range(b, min(b + block, cfg.n_steps), SIM_MODULE.CHUNK):
+            n = min(SIM_MODULE.CHUNK, b + block - t, cfg.n_steps - t)
+            hits = np.flatnonzero(contact[t:t + n])
+            story.append((t, n, bool(grid.lower + reach < lo
+                                     and hi < grid.upper - reach),
+                          int(hits[0]) if hits.size else None))
+            lo, hi = positions[:, t:t + n].min(), positions[:, t:t + n].max()
+    return reference, story
+
+
+# a normal whose mean sits half a sigma above the lower wall
+NEAR_WALL = (Normal(0.0, 1.0), build_grid("continuous", -0.5, 6, 41))
+GAMMA_5 = (Gamma(5.0, 1.0), build_grid("continuous", 0.5, 20, 41))
+
+# name: (potential and grid, seed, CHUNK, REACH, steps per block, and a
+# chunk (first step, steps, first contact row) that is tried clear and
+# redone folded); REACH = -inf tries every chunk clear, so a contact
+# can fall in its first row, as none can where reach holds
+SWITCH_CASES = {
+    "mid-row": (NEAR_WALL, 5, 64, 6.0, None, (320, 64, 58)),
+    "last-row": (NEAR_WALL, 37, 16, 6.0, None, (320, 16, 15)),
+    "block-end": (NEAR_WALL, 5, 64, 6.0, 384, (320, 64, 58)),
+    "from-start": (GAMMA_5, 27, 64, 6.0, None, (0, 64, 58)),
+    "first-row": (NEAR_WALL, 3, 5, -np.inf, 12, None),
+}
+
+
+@pytest.mark.parametrize("name", SWITCH_CASES)
+def test_clear_and_folded_chunks_match_oracle(name, monkeypatch):
+    (potential, grid), seed, chunk, reach, block, redone = \
+        SWITCH_CASES[name]
+    cfg = SimConfig(potential=potential, grid=grid, dt=5e-3, n_steps=1000,
+                    burn_in=0, n_chains=2, seed=seed)
+    monkeypatch.setattr(SIM_MODULE, "CHUNK", chunk)
+    monkeypatch.setattr(SIM_MODULE, "REACH", reach)
+    if block is not None:
+        monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", block * 2)
+    kept, histogram = [], np.histogram
+    passed, fold_free = [], SIM_MODULE._fold_free
+
+    def recording_histogram(a, *args, **kwargs):
+        kept.append(np.array(a))
+        return histogram(a, *args, **kwargs)
+
+    def recording_fold_free(*args):
+        passed.append(fold_free(*args))
+        return passed[-1]
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "histogram", recording_histogram)
+        m.setattr(SIM_MODULE, "_fold_free", recording_fold_free)
+        r = simulate(cfg)
+    (values, n_used, tv, positions), story = _chunk_story(
+        cfg, r.stability_margin, monkeypatch)
+    assert np.array_equal(np.concatenate(kept).T, positions)
+    assert np.array_equal(r.histogram.values, values)
+    assert r.tv_distance == tv
+    # the story matches the run: one exactness test per clear pass
+    assert passed == [row is None for _, _, tried, row in story if tried]
+    failed = [(t, n, row) for t, n, tried, row in story
+              if tried and row is not None]
+    if redone is not None:
+        assert redone in failed
+        # clear -> contact -> folded -> clear
+        assert any(tried and row is None and t > redone[0]
+                   for t, _, tried, row in story)
+        assert any(tried and row is None and t < redone[0]
+                   for t, _, tried, row in story) or redone[0] == 0
+        if block is not None:
+            assert (redone[0] + redone[1]) % block == 0
+    else:
+        assert any(row == 0 for _, _, row in failed)
+        assert any(row == n - 1 for _, n, row in failed)
+        assert any((t + n) % block == 0 for t, n, _ in failed)
+
+
+@pytest.mark.parametrize("error", [SupportError, FloatingPointError])
+def test_clear_pass_errors_rerun_folded(error, monkeypatch):
+    # a map that fails below the grid, where only a clear pass steps (as a
+    # Poisson chain's digamma would below -1): the folded rerun keeps the
+    # bits, and no pass warns
+    potential, grid = NEAR_WALL
+    scaled, raised = Normal.scaled_intensity, []
+
+    def strict(self, x, scale, out):
+        if np.any(x < grid.lower):
+            raised.append(error)
+            if error is SupportError:
+                raise SupportError("below the grid")
+            np.divide(1.0, np.zeros(1))  # raises in a clear pass alone
+        return scaled(self, x, scale, out)
+
+    monkeypatch.setattr(Normal, "scaled_intensity", strict)
+    monkeypatch.setattr(SIM_MODULE, "REACH", -np.inf)
+    cfg = SimConfig(potential=potential, grid=grid, dt=5e-3, n_steps=300,
+                    burn_in=0, n_chains=2, seed=3)
+    values, n_used, tv, _ = _reference_simulate(cfg)
+    r = simulate(cfg)
+    assert raised
+    assert np.array_equal(r.histogram.values, values)
+    assert r.tv_distance == tv
 
 
 # U' constant, zero, with a zero leading coefficient, and the quartic's
