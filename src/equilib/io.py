@@ -3,14 +3,20 @@
 Tables are comma-separated with a mandatory header naming columns from
 TABLE_COLUMNS, LF line endings (CRLF is read too) and floats printed with
 17 significant digits so that 64-bit values round-trip exactly.  Reading
-needs distinct column names, one unquoted number per column on every
-non-empty line, at least one row and, if there is an x column, a finite x;
-anything else is a FormatError.  A grid built from an x column
+needs UTF-8 text, distinct column names, one unquoted number per column on
+every non-empty line, at least one row and, if there is an x column, a
+finite x; anything else is a FormatError.  A grid built from an x column
 (``grid_from_x``) also needs x strictly increasing; a samples file may
 come in any order.
 
-Specs are JSON documents tagged by a top-level "kind"; unknown fields are
-rejected, and each numeric field is checked by the object it builds.
+Tables stream in row slices: ``write_table`` formats _SLICE_ROWS rows
+with each '%' and ``read_table`` hands the open file's lines to
+``np.loadtxt``, which parses them one by one, so neither holds the whole
+text and memory is O(slice + columns).
+
+Specs are UTF-8 JSON documents tagged by a top-level "kind"; unknown
+fields are rejected, and each numeric field is checked by the object it
+builds.
 """
 
 from __future__ import annotations
@@ -18,7 +24,6 @@ from __future__ import annotations
 import json
 import re
 from contextlib import contextmanager
-from io import StringIO
 from itertools import chain
 
 import numpy as np
@@ -36,6 +41,11 @@ TABLE_COLUMNS = ("x", "f", "U", "U_tilde", "E_s", "E_c", "residual", "mask")
 # CSV tables
 
 
+# rows formatted by one '%': ~16k cells at four columns, a working set
+# bounded like simulate.BLOCK_ELEMENTS
+_SLICE_ROWS = 4096
+
+
 def write_table(path, columns: dict):
     """Write equal-length 1-D named columns (of TABLE_COLUMNS) as CSV."""
     names = list(columns)
@@ -46,35 +56,56 @@ def write_table(path, columns: dict):
     if not arrays or any(a.ndim != 1 or a.size != arrays[0].size
                          for a in arrays):
         raise FormatError("table columns must be 1-D and of equal length")
-    cols = [(a.astype(int) if n == "mask" else a.astype(float)).tolist()
-            for n, a in zip(names, arrays)]
+    kinds = [int if n == "mask" else float for n in names]
     row = ",".join("%d" if n == "mask" else "%.17g" for n in names) + "\n"
-    cells = tuple(chain.from_iterable(zip(*cols)))
     with open(path, "w", newline="\n") as fh:
         fh.write(",".join(names) + "\n")
-        fh.write((row * arrays[0].size) % cells)
+        for start in range(0, arrays[0].size, _SLICE_ROWS):
+            cols = [a[start:start + _SLICE_ROWS].astype(kind).tolist()
+                    for a, kind in zip(arrays, kinds)]
+            fh.write((row * len(cols[0]))
+                     % tuple(chain.from_iterable(zip(*cols))))
+
+
+@contextmanager
+def _utf8_errors(path):
+    """Report text that is not UTF-8 as FormatError."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def read_table(path) -> dict:
     """Read a CSV table back into named float arrays."""
-    with open(path) as fh:
-        header, _, body = fh.read().partition("\n")
-    if not header:
-        raise FormatError(f"{path}: empty table")
-    names = header.split(",")
-    for name in names:
-        if name not in TABLE_COLUMNS:
-            raise FormatError(f"{path}: unknown column {name!r}")
-    if len(set(names)) != len(names):
-        raise FormatError(f"{path}: repeated column name in {header!r}")
-    # loadtxt only warns on a body without data; reject it here instead
-    if not body.strip():
-        raise FormatError(f"{path}: table has no rows")
-    try:
-        data = np.loadtxt(StringIO(body), delimiter=",", ndmin=2,
-                          comments=None)
-    except ValueError as exc:
-        raise FormatError(f"{path}: malformed table body ({exc})") from None
+    with open(path, encoding="utf-8") as fh, _utf8_errors(path):
+        header = fh.readline().removesuffix("\n")
+        if not header:
+            raise FormatError(f"{path}: empty table")
+        names = header.split(",")
+        for name in names:
+            if name not in TABLE_COLUMNS:
+                raise FormatError(f"{path}: unknown column {name!r}")
+        if len(set(names)) != len(names):
+            raise FormatError(f"{path}: repeated column name in {header!r}")
+        # loadtxt only warns on a body without data; reject it here instead.
+        # The lines read up to the first row go to loadtxt too, so it sees
+        # the whole body without a seek (a pipe reads as a file does)
+        head = []
+        for line in fh:
+            head.append(line)
+            if line.strip():
+                break
+        else:
+            raise FormatError(f"{path}: table has no rows")
+        try:
+            data = np.loadtxt(chain(head, fh), delimiter=",", ndmin=2,
+                              comments=None)
+        except UnicodeDecodeError:
+            raise
+        except ValueError as exc:
+            raise FormatError(f"{path}: malformed table body ({exc})") \
+                from None
     if data.shape[1] != len(names):
         raise FormatError(f"{path}: ragged rows")
     out = {name: data[:, j] for j, name in enumerate(names)}
@@ -239,7 +270,7 @@ def parse_sim_config(obj: dict) -> SimConfig:
 
 
 def load_spec(path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8") as fh, _utf8_errors(path):
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:

@@ -743,3 +743,27 @@ def test_decompose_option_of_the_other_estimator_exits_2(tmp_path, capsys,
                "--upper", 2, "--points", 101, "--out", out) == 2
     assert _one_line_error(capsys)
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# input that is not UTF-8
+
+@pytest.mark.parametrize("name, data, argv", [
+    ("f.csv", b"x,f\xff\n0,0.2\n1,0.3\n2,0.3\n",
+     ["transform", "--to", "potential", "--in"]),
+    ("f.csv", b"x,f\n0,0.2\n1,0.3\xff\n2,0.3\n",
+     ["transform", "--to", "potential", "--in"]),
+    ("pot.json", b'{"kind": "potential", "family": "normal\xff"}',
+     ["transform", "--to", "density", "--in"]),
+    ("samples.csv", b"x\n0.1\n-0.2\xff\n0.3\n",
+     ["decompose", "--lower", -2, "--upper", 2, "--points", 101,
+      "--samples"]),
+], ids=["table_header", "table_body", "spec", "samples"])
+def test_non_utf8_input_exits_2(tmp_path, capsys, name, data, argv):
+    src = tmp_path / name
+    src.write_bytes(data)
+    out = tmp_path / "out.csv"
+    assert run(*argv, src, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert "not UTF-8" in err and err.count("\n") == 1
+    assert not out.exists()

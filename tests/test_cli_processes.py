@@ -19,16 +19,28 @@ import equilib
 SRC = Path(equilib.__file__).resolve().parents[1]
 
 
+def _start(tmp_path, argv):
+    return subprocess.Popen(
+        [sys.executable, "-W", "error", "-m", "equilib.cli", *map(str, argv)],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+
+
 def cli(tmp_path, *argvs):
     """Run each argv in its own fresh interpreter, side by side in tmp_path."""
-    env = dict(os.environ, PYTHONPATH=str(SRC))
-    procs = [subprocess.Popen(
-        [sys.executable, "-W", "error", "-m", "equilib.cli", *map(str, argv)],
-        cwd=tmp_path, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        text=True) for argv in argvs]
+    procs = [_start(tmp_path, argv) for argv in argvs]
     for proc in procs:
         _, err = proc.communicate()
         assert proc.returncode == 0, err
+
+
+def cli_error(tmp_path, argv) -> str:
+    """Run argv in a fresh interpreter that must exit 2 with one stderr
+    line; return that line."""
+    proc = _start(tmp_path, argv)
+    _, err = proc.communicate()
+    assert proc.returncode == 2 and err.count("\n") == 1, err
+    return err
 
 
 def _reject(name):
@@ -50,6 +62,18 @@ def test_negative_exponent_notation_is_a_value(tmp_path):
                    "--lower", "-1.005e3", "--upper", "-9.95e2",
                    "--points", "11", "--out", "n.csv"])
     assert (tmp_path / "n.csv").exists()
+
+
+@pytest.mark.parametrize("name, data", [
+    ("f.csv", b"x,f\n0,0.2\n1,0.3\xff\n2,0.3\n"),
+    ("pot.json", b'{"kind": "potential", "family": "normal\xff"}'),
+], ids=["table", "spec"])
+def test_non_utf8_input_is_one_line_exit_2(tmp_path, name, data):
+    (tmp_path / name).write_bytes(data)
+    assert "not UTF-8" in cli_error(tmp_path, ["transform", "--in", name,
+                                               "--to", "density",
+                                               "--out", "out.csv"])
+    assert not (tmp_path / "out.csv").exists()
 
 
 def _polynomial(*coeffs):

@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -38,19 +39,76 @@ def test_write_table_golden_bytes(tmp_path):
     assert np.array_equal(table["mask"], mask)
 
 
+@pytest.mark.parametrize("slice_rows", [1, 3, 7])
+def test_golden_bytes_in_row_slices(tmp_path, monkeypatch, slice_rows):
+    monkeypatch.setattr(io, "_SLICE_ROWS", slice_rows)
+    test_write_table_golden_bytes(tmp_path)
+
+
 @given(data=arrays(np.float64,
-                   st.tuples(st.integers(1, 40), st.integers(1, 4))))
+                   st.tuples(st.integers(1, 40), st.integers(1, 4))),
+       slice_rows=st.sampled_from([1, 3, 7, io._SLICE_ROWS]))
 @settings(max_examples=100, deadline=None)
-def test_table_round_trip_is_bit_exact(tmp_path_factory, data):
+def test_table_round_trip_is_bit_exact(tmp_path_factory, data, slice_rows):
     path = tmp_path_factory.mktemp("rt") / "t.csv"
     names = ("f", "U", "U_tilde", "E_s")[:data.shape[1]]
     columns = {"x": np.arange(data.shape[0], dtype=float)}
     columns.update((name, data[:, j]) for j, name in enumerate(names))
-    io.write_table(path, columns)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(io, "_SLICE_ROWS", slice_rows)
+        io.write_table(path, columns)
     table = io.read_table(path)
     assert list(table) == list(columns)
     for name, values in columns.items():
         assert _same_bits(table[name], values)
+
+
+# rows 1 below a multiple of the slice, at one and 1 past one, with the
+# special values and a mask in the last slice
+@pytest.mark.parametrize("slice_rows, rows", [
+    (1, 8), (1, 9), (1, 10), (3, 8), (3, 9), (3, 10), (7, 13), (7, 14),
+    (7, 15)])
+def test_write_table_same_bytes_in_any_slice(tmp_path, monkeypatch,
+                                              slice_rows, rows):
+    f = np.linspace(-1.0, 1.0, rows) / 3.0
+    f[-5:] = [np.nan, np.inf, -np.inf, -0.0, 5e-324]
+    columns = {"x": np.arange(rows, dtype=float), "f": f,
+               "U": -f[::-1], "mask": np.arange(rows) % 3 == 0}
+    whole, sliced = tmp_path / "whole.csv", tmp_path / "sliced.csv"
+    io.write_table(whole, columns)
+    monkeypatch.setattr(io, "_SLICE_ROWS", slice_rows)
+    io.write_table(sliced, columns)
+    assert sliced.read_bytes() == whole.read_bytes()
+    table = io.read_table(sliced)
+    for name, values in columns.items():
+        assert _same_bits(table[name], values)
+
+
+def _table_peaks(path, rows):
+    """Traced peaks of write_table and of read_table beyond its arrays."""
+    columns = {"x": np.arange(rows, dtype=float)}
+    tracemalloc.start()
+    try:
+        io.write_table(path, columns)
+        write = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        table = io.read_table(path)
+        read = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    result = sum(a.nbytes for a in table.values())
+    return write, read - result, result
+
+
+def test_table_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
+    # whole-text formatting and parsing peaked ~4x higher at 4x the rows
+    monkeypatch.setattr(io, "_SLICE_ROWS", 1024)
+    write, read, _ = _table_peaks(tmp_path / "n.csv", 4 * 1024)
+    write4, read4, result4 = _table_peaks(tmp_path / "4n.csv", 16 * 1024)
+    assert write4 < 1.1 * write
+    # np.loadtxt grows its result a quarter at a time, so up to a quarter
+    # of the result may be spare while it parses
+    assert read4 < 1.1 * read + result4 / 4
 
 
 def test_read_table_accepts_crlf(tmp_path):
@@ -64,8 +122,11 @@ def test_read_table_accepts_crlf(tmp_path):
 
 @pytest.mark.parametrize("text, message", [
     ("", "empty table"),
+    ("x,f", "no rows"),
     ("x,f\n", "no rows"),
     ("x,f\n\n\n", "no rows"),
+    ("x,f\n  \n", "no rows"),
+    ("x,f\n  \n0,1\n1,2\n", "malformed"),
     ("x,f\n0,1\n1,a\n", "malformed"),
     ('x,f\n0,"1"\n1,2\n', "malformed"),
     ("x,f\n0,0_3\n1,2\n", "malformed"),
@@ -85,6 +146,28 @@ def test_read_table_rejects_malformed(tmp_path, text, message):
         warnings.simplefilter("error")
         with pytest.raises(io.FormatError, match=message):
             io.read_table(path)
+
+
+def test_read_table_skips_blank_lines_before_rows(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("x,f\n\n\n0,1.5\n1,-2\n")
+    table = io.read_table(path)
+    assert table["x"].tolist() == [0.0, 1.0]
+    assert table["f"].tolist() == [1.5, -2.0]
+
+
+# a byte that is not UTF-8 where the header is read, where the blank-line
+# scan reads past the first 8 KiB and where np.loadtxt does
+@pytest.mark.parametrize("data", [
+    b"x,\xff\n0,1\n1,2\n",
+    b"x,f\n" + b"\n" * 10_000 + b"0,\xff\n",
+    b"x,f\n" + b"".join(b"%d,1\n" % i for i in range(3000)) + b"0,\xff\n",
+], ids=["header", "blank_scan", "loadtxt"])
+def test_read_table_rejects_non_utf8(tmp_path, data):
+    path = tmp_path / "t.csv"
+    path.write_bytes(data)
+    with pytest.raises(io.FormatError, match="not UTF-8"):
+        io.read_table(path)
 
 
 @pytest.mark.parametrize("columns", [
