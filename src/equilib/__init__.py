@@ -1,8 +1,8 @@
 """Potentials, equilibrium densities and intensities on 1-D grids."""
 
-from .catalog import (FAMILIES, Exponential, Gamma, LinearConstant, Normal,
-                      PearsonParams, PearsonPotential, Poisson, UniformLattice,
-                      make_family, pearson_density)
+from .catalog import (FAMILIES, SPECS, Exponential, Gamma, LinearConstant,
+                      Normal, PearsonPotential, Poisson, UniformLattice,
+                      make_family)
 from .diagnostics import (DecompositionReport, decompose_samples,
                           fisher_information_number, fit_linear_intensity,
                           shannon_entropy)

@@ -1,8 +1,9 @@
 """Closed-form potential/intensity/density triples for the standard families.
 
-``FAMILIES`` names the families for the CLI and JSON specs, and
-``make_family`` builds one from its fields, checked by
-``errors.require_real`` and ``require_integer``.  Each family exposes
+``FAMILIES`` names the families for the CLI; ``SPECS`` adds the Pearson
+and polynomial specs to them, the one registry of JSON potential specs,
+and ``make_family`` builds any of them from its fields, each checked by
+``errors.require_real`` or ``require_integer``.  Each family exposes
 
 * ``potential(x)``             an (unnormalized) potential U with f = k e^(-U)
 * ``normalized_potential(x)``  U_tilde = -ln f, exact closed form
@@ -20,8 +21,9 @@ as is.  Each family writes its -U' once, in place and without the support
 check, in ``scaled_intensity(x, scale, out)``; ``intensity`` is the check
 plus that at scale 1, and ``euler_map(dt)`` is that at scale dt plus x.
 The Poisson potential takes ln Gamma from ``special.gammaln``.  The module
-also holds the Pearson-system generator, whose density is the normalized
-integral of its causal intensity on a grid.
+also holds ``PearsonPotential``, the Pearson system: minus the integral of
+its causal intensity on a grid, so that ``normalize(PearsonPotential(...),
+grid)`` is its density on either grid kind.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import numpy as np
 from .errors import (FormatError, NonNormalizableError, PotentialError,
                      SupportError, require_integer, require_real)
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
-from .potential import EquilibriumDensity, normalize
+from .potential import PolynomialPotential
 from .special import digamma, gammaln, incomplete_gamma
 
 DEFAULT_POINTS = 4001
@@ -325,40 +327,19 @@ class Gamma(_Family):
         return build_grid(CONTINUOUS, lower, upper, DEFAULT_POINTS)
 
 
-FAMILIES = {"uniform": UniformLattice, "exponential": Exponential,
-            "normal": Normal, "linear_constant": LinearConstant,
-            "linear-constant": LinearConstant, "poisson": Poisson,
-            "gamma": Gamma}
-
-
-def make_family(name: str, params: dict) -> _Family:
-    """Build the family ``name`` from its fields; None values take defaults,
-    and a name that is not one of its fields is a FormatError."""
-    cls = FAMILIES.get(name)
-    if cls is None:
-        raise FormatError(f"unknown family {name!r}")
-    unknown = sorted(set(params) - {f.name for f in fields(cls)})
-    if unknown:
-        raise FormatError(f"family {name!r} has no fields {unknown}")
-    given = {k: v for k, v in params.items() if v is not None}
-    missing = [f.name for f in fields(cls)
-               if f.default is MISSING and f.name not in given]
-    if missing:
-        raise FormatError(f"family {name!r} is missing {missing}")
-    return cls(**given)
-
-
 # ---------------------------------------------------------------------------
 # Pearson system
 
 
 @dataclass(frozen=True)
-class PearsonParams:
-    """Parameters of f'/f = s (x - a) / (b0 + b1 x + b2 x^2).
+class PearsonPotential:
+    """Potential spec of causal intensity s (x - a) / (b0 + b1 x + b2 x^2).
 
-    sign="paper" takes the right-hand side literally as the causal
-    intensity; sign="standard" negates it, the convention under which
-    b0 > 0, b1 = b2 = 0 yields normalizable (normal) densities.
+    sign="paper" takes the form literally (s = 1); sign="standard" negates
+    it (s = -1), the convention under which b0 > 0, b1 = b2 = 0 yields
+    normalizable (normal) densities.  The potential is minus the grid's
+    antiderivative of the intensity, so on a lattice ln f(x+1) - ln f(x)
+    is the intensity at x.
     """
 
     a: float
@@ -373,26 +354,14 @@ class PearsonParams:
         if self.sign not in ("standard", "paper"):
             raise PotentialError(f"unknown Pearson sign {self.sign!r}")
 
-    def denominator(self, x):
-        x = _asfloat(x)
-        return self.b0 + self.b1 * x + self.b2 * x * x
-
-
-@dataclass(frozen=True)
-class PearsonPotential:
-    """Potential spec obtained by integrating a Pearson intensity."""
-
-    params: PearsonParams
-
     def intensity(self, x):
-        p = self.params
         x = _asfloat(x)
-        den = p.denominator(x)
+        den = self.b0 + self.b1 * x + self.b2 * x * x
         if not (np.all(den > 0.0) or np.all(den < 0.0)):
             raise PotentialError(
                 "Pearson denominator has a root inside the domain")
-        s = -1.0 if p.sign == "standard" else 1.0
-        return s * (x - p.a) / den
+        s = -1.0 if self.sign == "standard" else 1.0
+        return s * (x - self.a) / den
 
     def values_on(self, grid: Grid):
         ec = self.intensity(grid.points)
@@ -408,9 +377,30 @@ class PearsonPotential:
         return -grid.antiderivative(ec)
 
 
-def pearson_density(p: PearsonParams, grid: Grid) -> EquilibriumDensity:
-    """Grid density generated by the Pearson intensity; a slope pointing
-    outward at a grid edge is rejected (see ``PearsonPotential``)."""
-    if grid.kind != CONTINUOUS:
-        raise PotentialError("Pearson densities need a continuous grid")
-    return normalize(PearsonPotential(p), grid)
+# ---------------------------------------------------------------------------
+# The registry of JSON potential specs
+
+
+FAMILIES = {"uniform": UniformLattice, "exponential": Exponential,
+            "normal": Normal, "linear_constant": LinearConstant,
+            "linear-constant": LinearConstant, "poisson": Poisson,
+            "gamma": Gamma}
+SPECS = {**FAMILIES, "pearson": PearsonPotential,
+         "polynomial": PolynomialPotential}
+
+
+def make_family(name: str, params: dict):
+    """Build the spec ``name`` of SPECS from its fields.  An unset field
+    takes its default; a name that is not one of its fields, or a missing
+    one, is a FormatError, and the class checks the values."""
+    cls = SPECS.get(name)
+    if cls is None:
+        raise FormatError(f"unknown family {name!r}")
+    unknown = sorted(set(params) - {f.name for f in fields(cls)})
+    if unknown:
+        raise FormatError(f"family {name!r} has no fields {unknown}")
+    missing = [f.name for f in fields(cls)
+               if f.default is MISSING and f.name not in params]
+    if missing:
+        raise FormatError(f"family {name!r} is missing {missing}")
+    return cls(**params)

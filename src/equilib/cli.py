@@ -86,10 +86,7 @@ def _load_transform_input(args):
     """Return ('potential', spec, grid) or ('density', density)."""
     path = args.infile
     if path.endswith(".json"):
-        obj = io.load_spec(path)
-        if obj.get("kind") != "potential":
-            raise io.FormatError(f"{path}: expected a potential spec")
-        spec = io.parse_potential(obj)
+        spec = io.parse_potential(io.load_spec(path, "potential"))
         grid = _grid_from_args(args)
         if grid is None and isinstance(spec, TabulatedPotential):
             grid = spec.grid
@@ -152,7 +149,7 @@ def cmd_transform(args) -> int:
 
 def _potential_from_arg(text: str):
     if text.endswith(".json"):
-        return io.parse_potential(io.load_spec(text))
+        return io.parse_potential(io.load_spec(text, "potential"))
     if text.endswith(".csv"):
         return io.read_tabulated_potential(text)
     return io.parse_polynomial(text)
@@ -202,10 +199,7 @@ def cmd_maxent(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    obj = io.load_spec(args.config)
-    if obj.get("kind") != "sim_config":
-        raise io.FormatError(f"{args.config}: expected a sim_config spec")
-    config = io.parse_sim_config(obj)
+    config = io.parse_sim_config(io.load_spec(args.config, "sim_config"))
     result = simulate(config)
     io.dump_json(args.out, {
         "kind": "sim_result",

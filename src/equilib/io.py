@@ -15,8 +15,8 @@ with each '%' and ``read_table`` hands the open file's lines to
 text and memory is O(slice + columns).
 
 Specs are UTF-8 JSON documents tagged by a top-level "kind"; unknown
-fields are rejected, and each numeric field is checked by the object it
-builds.
+fields are rejected, and each field is checked by the object it builds,
+so a JSON null is a bad value, not the default.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .catalog import FAMILIES, PearsonParams, PearsonPotential, make_family
+from .catalog import make_family
 from .errors import EquilibError, FormatError
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .potential import PolynomialPotential, TabulatedPotential
@@ -189,14 +189,6 @@ def parse_polynomial(text: str) -> PolynomialPotential:
 # ---------------------------------------------------------------------------
 # JSON specs
 
-# fields of the potential specs that are not catalog families (FAMILIES)
-_SPEC_FIELDS = {
-    "pearson": {"a", "b0", "b1", "b2", "sign"},
-    "tabulated": {"csv"},
-    "polynomial": {"coeffs"},
-}
-
-
 def _check_fields(obj: dict, allowed: set, what: str):
     if not isinstance(obj, dict):
         raise FormatError(f"{what} must be a JSON object")
@@ -227,28 +219,17 @@ def parse_grid(obj: dict) -> Grid:
 
 
 def parse_potential(obj: dict):
+    """A potential spec: a tabulated CSV, else one of ``catalog.SPECS``."""
     if not (isinstance(obj, dict) and isinstance(obj.get("family"), str)):
         raise FormatError("a potential spec must be a JSON object with a "
                           "string 'family'")
     family = obj["family"]
     what = f"potential spec '{family}'"
-    if family in FAMILIES:  # make_family checks the field names
-        with _spec_errors(what):
-            return make_family(family, {k: v for k, v in obj.items()
-                                        if k not in ("kind", "family")})
-    if family not in _SPEC_FIELDS:
-        raise FormatError(f"unknown potential family {family!r}")
-    _check_fields(obj, _SPEC_FIELDS[family] | {"kind", "family"}, what)
+    params = {k: v for k, v in obj.items() if k not in ("kind", "family")}
     with _spec_errors(what):
-        if family == "pearson":
-            return PearsonPotential(PearsonParams(
-                a=obj["a"], b0=obj["b0"], b1=obj["b1"], b2=obj["b2"],
-                sign=obj.get("sign", "standard")))
-        if family == "polynomial":
-            if not isinstance(obj["coeffs"], list):
-                raise FormatError(f"{what}: coeffs must be a list")
-            return PolynomialPotential(tuple(obj["coeffs"]))
-        # tabulated: CSV with x and U columns
+        if family != "tabulated":  # make_family checks the field names
+            return make_family(family, params)
+        _check_fields(params, {"csv"}, what)
         if not isinstance(obj["csv"], str):
             raise FormatError(f"{what}: csv must be a file path string")
         return read_tabulated_potential(obj["csv"])
@@ -269,14 +250,15 @@ def parse_sim_config(obj: dict) -> SimConfig:
         )
 
 
-def load_spec(path) -> dict:
+def load_spec(path, kind: str) -> dict:
+    """Read a JSON spec whose "kind" is ``kind``."""
     with open(path, encoding="utf-8") as fh, _utf8_errors(path):
         try:
             obj = json.load(fh)
         except json.JSONDecodeError as exc:
             raise FormatError(f"{path}: invalid JSON ({exc})") from None
-    if not isinstance(obj, dict) or "kind" not in obj:
-        raise FormatError(f"{path}: spec must be an object with a 'kind'")
+    if not isinstance(obj, dict) or obj.get("kind") != kind:
+        raise FormatError(f"{path}: expected a {kind} spec")
     return obj
 
 

@@ -1,6 +1,6 @@
 """Core transforms between potentials, densities and intensities.
 
-The five fundamental maps implemented here:
+The six fundamental maps implemented here:
 
 * ``normalize``            potential U       -> equilibrium density k e^(-U)
 * ``normalized_potential`` potential U       -> U - ln k
@@ -100,12 +100,14 @@ class PolynomialPotential:
     coeffs: tuple
 
     def __post_init__(self):
-        if len(self.coeffs) == 0:
+        coeffs = self.coeffs
+        if isinstance(coeffs, (str, dict)) or not np.iterable(coeffs):
+            raise PotentialError(f"coeffs must be a list, got {coeffs!r}")
+        if len(coeffs) == 0:
             raise PotentialError("a polynomial needs at least one coefficient")
-        for j, c in enumerate(self.coeffs):
+        for j, c in enumerate(coeffs):
             require_real(c, f"coeffs[{j}]", PotentialError)
-        object.__setattr__(self, "coeffs",
-                           tuple(float(c) for c in self.coeffs))
+        object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
         d = np.polynomial.polynomial.polyder(self.coeffs).tolist()
         object.__setattr__(self, "_dcoeffs", d)
 

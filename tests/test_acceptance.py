@@ -11,13 +11,12 @@ import time
 import numpy as np
 
 from equilib import (Exponential, Gamma, LinearConstant, MaxEntProblem,
-                     MomentRangeError, Normal, PearsonParams, Poisson,
+                     MomentRangeError, Normal, PearsonPotential, Poisson,
                      PolynomialPotential, SimConfig, TabulatedPotential,
                      UniformLattice, build_grid, cli,
                      decompose_samples, equilibrium_residual,
                      fisher_information_number, fit_linear_intensity, io,
-                     normalize, pearson_density, shannon_entropy, simulate,
-                     solve_maxent)
+                     normalize, shannon_entropy, simulate, solve_maxent)
 
 X = PolynomialPotential((0.0, 1.0))
 X2 = PolynomialPotential((0.0, 0.0, 1.0))
@@ -82,9 +81,9 @@ def test_equilibrium_residual_order():
 @criterion(3, "Pearson recovers the normal family")
 def test_pearson_to_normal():
     for mu, sigma in [(0.0, 1.0), (2.0, 0.5)]:
-        p = PearsonParams(a=mu, b0=sigma ** 2, b1=0.0, b2=0.0)
+        p = PearsonPotential(a=mu, b0=sigma ** 2, b1=0.0, b2=0.0)
         grid = build_grid("continuous", mu - 8 * sigma, mu + 8 * sigma, 4001)
-        f = pearson_density(p, grid)
+        f = normalize(p, grid)
         exact = Normal(mu, sigma).density(grid.points)
         assert np.max(np.abs(f.values - exact)) <= 1e-6
 

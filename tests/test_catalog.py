@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from equilib import (Exponential, Gamma, IntensityTable, LinearConstant,
-                     NonNormalizableError, Normal, PearsonParams, Poisson,
-                     PotentialError, SupportError, UniformLattice, build_grid,
-                     PearsonPotential, catalog, density_from_intensity,
-                     normalize, pearson_density, stochastic_intensity)
-from equilib.catalog import FAMILIES, make_family
+                     NonNormalizableError, Normal, PearsonPotential, Poisson,
+                     PolynomialPotential, PotentialError, SupportError,
+                     UniformLattice, build_grid, catalog,
+                     density_from_intensity, equilibrium_residual, normalize,
+                     stochastic_intensity)
+from equilib.catalog import FAMILIES, SPECS, make_family
 from equilib.errors import FormatError
 from equilib.special import digamma
 
@@ -271,29 +272,29 @@ def test_default_grids_capture_mass():
 
 
 def test_pearson_standard_sign_normal_intensity():
-    p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="standard")
+    p = PearsonPotential(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="standard")
     grid = build_grid("continuous", 0.0, 4.0, 5)  # grid.points[2] == 2.0
-    assert PearsonPotential(p).intensity(grid.points)[2] == \
+    assert p.intensity(grid.points)[2] == \
         pytest.approx(-2.0)
 
 
 def test_pearson_paper_sign_literal():
-    p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="paper")
+    p = PearsonPotential(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="paper")
     grid = build_grid("continuous", 0.0, 4.0, 5)  # grid.points[2] == 2.0
-    assert PearsonPotential(p).intensity(grid.points)[2] == \
+    assert p.intensity(grid.points)[2] == \
         pytest.approx(2.0)
 
 
 def test_pearson_denominator_root_rejected():
-    p = PearsonParams(a=0.0, b0=-1.0, b1=0.0, b2=1.0)
+    p = PearsonPotential(a=0.0, b0=-1.0, b1=0.0, b2=1.0)
     grid = build_grid("continuous", 0.0, 2.0, 201)  # root at x = 1
     with pytest.raises(PotentialError):
-        pearson_density(p, grid)
+        normalize(p, grid)
 
 
 def test_pearson_denominator_sign_change_rejected():
     # the root x = 1 falls between grid points; one point is fine
-    p = PearsonPotential(PearsonParams(a=0.0, b0=-1.0, b1=0.0, b2=1.0))
+    p = PearsonPotential(a=0.0, b0=-1.0, b1=0.0, b2=1.0)
     with pytest.raises(PotentialError, match="root"):
         p.intensity(build_grid("continuous", 0.0, 2.0, 200).points)
     assert p.intensity(2.0) == pytest.approx(-2.0 / 3.0)
@@ -301,18 +302,18 @@ def test_pearson_denominator_sign_change_rejected():
 
 @pytest.mark.parametrize("mu,sigma", [(0.0, 1.0), (2.0, 0.5)])
 def test_pearson_recovers_normal(mu, sigma):
-    p = PearsonParams(a=mu, b0=sigma ** 2, b1=0.0, b2=0.0)
+    p = PearsonPotential(a=mu, b0=sigma ** 2, b1=0.0, b2=0.0)
     grid = build_grid("continuous", mu - 8 * sigma, mu + 8 * sigma, 4001)
-    f = pearson_density(p, grid)
+    f = normalize(p, grid)
     exact = Normal(mu, sigma).density(grid.points)
     assert np.max(np.abs(f.values - exact)) < 1e-6
 
 
 def test_pearson_paper_sign_not_normalizable():
-    p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="paper")
+    p = PearsonPotential(a=0.0, b0=1.0, b1=0.0, b2=0.0, sign="paper")
     grid = build_grid("continuous", -8.0, 8.0, 4001)
     with pytest.raises(NonNormalizableError):
-        pearson_density(p, grid)
+        normalize(p, grid)
 
 
 def test_catalog_equilibrium_matches_closed_form():
@@ -359,16 +360,34 @@ def test_registry_holds_both_linear_constant_spellings():
                                       LinearConstant, Poisson, Gamma}
 
 
-def test_make_family_applies_defaults_and_drops_none():
+def test_make_family_applies_defaults_and_rejects_none():
     assert make_family("normal", {}) == Normal(0.0, 1.0)
-    assert make_family("normal", {"mu": None, "sigma": 2.0}) == Normal(0.0, 2.0)
+    assert make_family("normal", {"sigma": 2.0}) == Normal(0.0, 2.0)
+    with pytest.raises(SupportError, match="mu"):
+        make_family("normal", {"mu": None, "sigma": 2.0})
     assert make_family("linear-constant", {"a": 1.0, "b": 2.0}) == \
         LinearConstant(1.0, 2.0)
 
 
+def test_make_family_builds_every_spec_of_the_registry():
+    assert SPECS == {**FAMILIES, "pearson": PearsonPotential,
+                     "polynomial": PolynomialPotential}
+    assert make_family("pearson", {"a": 0.5, "b0": 2, "b1": 0, "b2": 0}) == \
+        PearsonPotential(0.5, 2.0, 0.0, 0.0, "standard")
+    assert make_family("polynomial", {"coeffs": [0, 1]}) == \
+        PolynomialPotential((0.0, 1.0))
+    with pytest.raises(PotentialError, match="sign"):
+        make_family("pearson", {"a": 0, "b0": 1, "b1": 0, "b2": 0,
+                                "sign": None})
+
+
 def test_make_family_reports_missing_and_unknown():
     with pytest.raises(FormatError, match="alpha"):
+        make_family("gamma", {"beta": 1.0})
+    with pytest.raises(SupportError, match="alpha"):
         make_family("gamma", {"beta": 1.0, "alpha": None})
+    with pytest.raises(FormatError, match=r"missing \['b2'\]"):
+        make_family("pearson", {"a": 0, "b0": 1, "b1": 0})
     with pytest.raises(FormatError, match="unknown family"):
         make_family("cauchy", {})
     with pytest.raises(FormatError, match=r"no fields \['n'\]"):
@@ -406,17 +425,19 @@ def test_gamma_default_grid_rejects_overflowing_scale(alpha, beta):
 
 
 def test_pearson_density_equals_integrated_intensity():
-    p = PearsonParams(a=0.5, b0=2.0, b1=0.1, b2=0.0)
+    p = PearsonPotential(a=0.5, b0=2.0, b1=0.1, b2=0.0)
     grid = build_grid("continuous", -6.0, 7.0, 1301)
     table = IntensityTable(grid=grid, kind="causal",
-                           values=PearsonPotential(p).intensity(grid.points))
+                           values=p.intensity(grid.points))
     expected = density_from_intensity(table)
-    got = pearson_density(p, grid)
+    got = normalize(p, grid)
     assert np.array_equal(got.values, expected.values)
     assert got.log_omega == expected.log_omega
 
 
-def test_pearson_density_needs_continuous_grid():
-    p = PearsonParams(a=0.0, b0=1.0, b1=0.0, b2=0.0)
-    with pytest.raises(PotentialError, match="continuous"):
-        pearson_density(p, build_grid("lattice", 0, 10, 11))
+def test_pearson_lattice_pmf_is_an_exact_equilibrium_pair():
+    # on a lattice ln f(x+1) - ln f(x) is the intensity at x, so the
+    # forward-difference E_s cancels E_c at every unmasked point
+    p = PearsonPotential(a=0.5, b0=2.0, b1=0.1, b2=0.0)
+    f = normalize(p, build_grid("lattice", -6, 6, 13))
+    assert equilibrium_residual(f, p).max_abs <= 1e-12

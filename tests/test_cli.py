@@ -317,6 +317,10 @@ def test_transform_one_row_table_exits_2(tmp_path, capsys):
     {"family": "polynomial", "coeffs": [True, "2"]},
     {"family": "pearson", "a": 0, "b0": "1", "b1": 0, "b2": 0},
     {"family": "pearson", "a": True, "b0": 1, "b1": 0, "b2": 0},
+    {"family": "pearson", "a": 0, "b0": 1, "b1": 0, "b2": 0, "sign": "up"},
+    {"family": "polynomial", "coeffs": 5},
+    {"family": "polynomial", "coeffs": None},
+    {"family": "normal", "mu": None, "sigma": None},
 ])
 def test_transform_bad_spec_value_exits_2(tmp_path, capsys, spec):
     out = tmp_path / "f.csv"
@@ -415,6 +419,38 @@ def test_transform_pearson_paper_sign_exits_3(tmp_path):
     assert run("transform", "--in", spec, "--to", "density",
                "--lower", -8, "--upper", 8, "--points", 801,
                "--out", tmp_path / "f.csv") == 3
+
+
+def test_transform_pearson_spec_on_a_lattice(tmp_path):
+    # ln f(x+1) - ln f(x) is the intensity at x: an exact lattice pair
+    params = {"a": 0.5, "b0": 2.0, "b1": 0.1, "b2": 0.0}
+    spec = write_json(tmp_path / "pearson.json",
+                      dict(params, kind="potential", family="pearson"))
+    tables = {}
+    for to in ("density", "intensity"):
+        out = tmp_path / f"{to}.csv"
+        assert run("transform", "--in", spec, "--to", to, "--lower", -6,
+                   "--upper", 6, "--points", 13, "--grid-kind", "lattice",
+                   "--out", out) == 0
+        tables[to] = io.read_table(out)
+    x, e_c = tables["intensity"]["x"], tables["intensity"]["E_c"]
+    assert np.array_equal(e_c, equilib.PearsonPotential(**params).intensity(x))
+    assert np.max(np.abs(np.diff(np.log(tables["density"]["f"]))
+                         - e_c[:-1])) <= 1e-12
+
+
+@pytest.mark.parametrize("command", ["transform", "maxent"])
+def test_potential_spec_of_another_kind_exits_2(tmp_path, capsys, command):
+    path = write_json(tmp_path / "g.json", {"kind": "sim_config",
+                                            "family": "normal", "mu": 0.5})
+    out = tmp_path / "out"
+    flag, rest = (("--in", ["--to", "density"]) if command == "transform"
+                  else ("--u", ["--moment", 0.5]))
+    assert run(command, flag, path, *rest, "--lower", -3, "--upper", 3,
+               "--points", 61, "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {path}: expected a potential spec\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,10 @@
 Every input ends in exit 0, 2 or 3.  A failure prints exactly one
 ``error: ...`` line and writes no output file; a success writes strict
 JSON (no NaN or Infinity) and a histogram that is not all NaN.  Configs
-are drawn from the ``SimConfig`` fields, the ``FAMILIES`` registry and
-polynomial coefficients, with at most one field broken per config, and
-stay within 64 chains x 200 steps so that the module runs in seconds.
+are drawn from the ``SimConfig`` fields and the ``SPECS`` registry of
+potential specs (the families, Pearson with either sign and polynomial
+coefficients), with at most one field broken per config, and stay within
+64 chains x 200 steps so that the module runs in seconds.
 """
 
 import contextlib
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equilib import cli, io
-from equilib.catalog import FAMILIES
+from equilib.catalog import SPECS
 
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                  st.lists(st.integers(0, 3), max_size=2),
@@ -30,7 +31,11 @@ JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
 NON_FINITE = st.sampled_from([float("nan"), float("inf"), float("-inf")])
 
 
-def _family_field(field, positive):
+def _spec_field(field, positive):
+    if field.name == "coeffs":
+        return st.lists(st.floats(-2.0, 2.0), min_size=1, max_size=5)
+    if field.name == "sign":
+        return st.sampled_from(["standard", "paper"])
     if field.type == "int":
         return st.integers(1, 20)
     return st.floats(0.1, 5.0) if positive else st.floats(-2.0, 2.0)
@@ -38,18 +43,13 @@ def _family_field(field, positive):
 
 @st.composite
 def potentials(draw):
-    name = draw(st.sampled_from(sorted(FAMILIES) + ["polynomial"]))
-    if name == "polynomial":
-        spec = {"family": name,
-                "coeffs": draw(st.lists(st.floats(-2.0, 2.0), min_size=1,
-                                        max_size=5))}
-    else:
-        cls = FAMILIES[name]
-        spec = {"family": name}
-        for field in dataclasses.fields(cls):
-            if field.default is dataclasses.MISSING or draw(st.booleans()):
-                spec[field.name] = draw(
-                    _family_field(field, field.name in cls._positive))
+    name = draw(st.sampled_from(sorted(SPECS)))
+    cls = SPECS[name]
+    spec = {"family": name}
+    for field in dataclasses.fields(cls):
+        if field.default is dataclasses.MISSING or draw(st.booleans()):
+            spec[field.name] = draw(_spec_field(
+                field, field.name in getattr(cls, "_positive", ())))
     return spec
 
 
@@ -151,6 +151,8 @@ def _reject_constant(name):
 @example(dict(VALID, grid={"grid_kind": "lattice", "lower": 0, "upper": 8,
                            "n_points": 9}))
 @example(dict(VALID, n_chains=2 ** 60))
+@example(dict(VALID, potential={"family": "pearson", "a": 0.5, "b0": 2.0,
+                                "b1": 0.0, "b2": 0.25, "sign": "standard"}))
 @example(dict(VALID, n_chains=2 ** 64))
 def test_simulate_honours_the_cli_contract(config):
     with tempfile.TemporaryDirectory() as tmp:

@@ -5,8 +5,8 @@ import numpy as np
 import pytest
 
 from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
-                     LinearConstant, Normal, PearsonParams, PearsonPotential,
-                     Poisson, PolynomialPotential, SimConfig, StabilityError,
+                     LinearConstant, Normal, PearsonPotential, Poisson,
+                     PolynomialPotential, SimConfig, StabilityError,
                      SupportError, TabulatedPotential, UniformLattice,
                      build_grid, normalize, simulate, tv_distance)
 from equilib.potential import causal_intensity
@@ -206,7 +206,7 @@ QUARTIC_GRID = build_grid("continuous", -4, 4, 33)
 QUARTIC = PolynomialPotential((1.0, 0.0, -1.0, 0.0, 0.25))
 # a closed-form intensity, but an interpolated drift; a Pearson normal's
 # linear -U' interpolates to within an ulp, so b2 > 0 bends it
-PEARSON = PearsonPotential(PearsonParams(a=0.5, b0=2.0, b1=0.0, b2=0.25))
+PEARSON = PearsonPotential(a=0.5, b0=2.0, b1=0.0, b2=0.25)
 
 
 # 60 steps: blocks of 1, 7 and 13 steps (13 does not divide 60), one
