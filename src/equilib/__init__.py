@@ -19,6 +19,6 @@ from .potential import (EquilibriumDensity, IntensityTable,
                         eval_potential, normalize, normalized_potential,
                         potential_of_density, stochastic_intensity)
 from .simulate import SimConfig, SimResult, simulate, tv_distance
-from .special import digamma, gammaln, incomplete_gamma
+from .special import digamma, gammaln
 
 __version__ = "0.1.0"

@@ -10,10 +10,10 @@ and ``make_family`` builds any of them from its fields, each checked by
 * ``intensity(x)``             causal intensity -dU_tilde/dx
 * ``density(x)``               e^(-U_tilde), shared by all families
 * ``default_grid()``           a support truncated so that the lost tail
-                               mass is below 1e-10; the Poisson and Gamma
-                               tails are ``special.incomplete_gamma``,
-                               consulted only where a sub-gamma bound
-                               does not already settle them
+                               mass is below 1e-10; a sub-gamma bound
+                               settles the Poisson and Gamma tails, else
+                               ``_poisson_tail`` or ``_gamma_tail`` does,
+                               on the small domain that reaches them
 
 and is itself a potential spec (``values_on``, ``intensity``,
 ``euler_map`` and ``at``), so it goes to the transforms and the simulator
@@ -37,12 +37,14 @@ from .errors import (FormatError, NonNormalizableError, PotentialError,
                      SupportError, require_integer, require_real)
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .potential import PolynomialPotential
-from .special import digamma, gammaln, incomplete_gamma
+from .special import digamma, gammaln
 
 DEFAULT_POINTS = 4001
 TAIL_MASS = 1e-10
-# the exact tails take O(sqrt(v)) terms near the mean; see _tail_negligible
-_EXACT_TAIL_MAX = 1e6
+# The exact tails below hold only for small v.  The bound decides every tail
+# with v >= 22.9 at its first offset, but above v ~ 1e34 that offset rounds
+# away (t = 0), and there the cap decides: an undecided tail counts as heavy.
+_EXACT_TAIL_MAX = 32.0
 
 
 def _tail_negligible(t, v, c, exact):
@@ -57,6 +59,35 @@ def _tail_negligible(t, v, c, exact):
     if t > 0 and t * (t / (v + c * t)) >= -2.0 * math.log(TAIL_MASS):
         return True
     return v <= _EXACT_TAIL_MAX and exact() <= TAIL_MASS
+
+
+def _poisson_tail(n, lam):
+    """P(X >= n) for X ~ Poi(lam) and n > lam: the pmf summed from n until a
+    term stops adding."""
+    term = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1.0))
+    total = 0.0
+    while total + term != total:
+        total += term
+        n += 1
+        term *= lam / n
+    return total
+
+
+def _gamma_tail(a, x):
+    """Q(a, x) = Gamma(a, x) / Gamma(a) for x > a + 1: the modified Lentz
+    continued fraction (Numerical Recipes, 3rd ed., sec. 6.2) times the plain
+    prefactor exp(a ln x - x - lgamma(a)), which cancels for large a."""
+    b = x + 1.0 - a
+    c, d = math.inf, 1.0 / b  # c = 1/0: the fraction has no leading term
+    h, i, delta = d, 0, 0.0
+    while abs(delta - 1.0) > 2.0 ** -52:
+        i += 1
+        an, b = i * (a - i), b + 2.0
+        d = 1.0 / (an * d + b)
+        c = b + an / c
+        delta = c * d
+        h *= delta
+    return math.exp(a * math.log(x) - x - math.lgamma(a)) * h
 
 
 def _asfloat(x):
@@ -256,10 +287,10 @@ class Poisson(_Family):
             raise SupportError("lambda is too large for a default lattice; "
                                "pass an explicit grid")
         upper = max(30, math.ceil(bound))
-        # P(X > upper) = P(upper + 1, lam); Bernstein: c = 1/3
+        # P(X > upper) = P(X >= upper + 1); Bernstein: c = 1/3
         while not _tail_negligible(
                 upper + 1 - self.lam, self.lam, 1.0 / 3.0,
-                lambda: incomplete_gamma(upper + 1, self.lam)[0]):
+                lambda: _poisson_tail(upper + 1, self.lam)):
             upper *= 2
         return build_grid(LATTICE, 0, upper, upper + 1)
 
@@ -317,7 +348,7 @@ class Gamma(_Family):
         # v = alpha, c = 1
         while math.isfinite(upper) and not _tail_negligible(
                 upper / self.beta - self.alpha, self.alpha, 1.0,
-                lambda: incomplete_gamma(self.alpha, upper / self.beta)[1]):
+                lambda: _gamma_tail(self.alpha, upper / self.beta)):
             upper *= 2.0
         if not math.isfinite(upper):
             raise SupportError("alpha * beta is too large for a default grid; "

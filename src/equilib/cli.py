@@ -5,6 +5,7 @@ is deterministic (randomness only enters through explicit seeds) and
 machine readable; see io.py for the file formats.
 
 Exit codes: 0 success, 2 input/precondition error, 3 infeasible problem.
+A command that fails removes the output files it has already written.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import argparse
 import re
 import sys
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 
@@ -55,6 +57,21 @@ def _grid_from_args(args) -> Grid | None:
         raise io.FormatError("--lower, --upper and --points go together")
     return build_grid(args.grid_kind or CONTINUOUS, args.lower, args.upper,
                       args.points)
+
+
+def _write_outputs(*outputs):
+    """Write each ``(write, path, content)`` whose path is set, in order; if
+    one fails, remove those already written before re-raising."""
+    written = []
+    try:
+        for write, path, content in outputs:
+            if path is not None:
+                write(path, content)
+                written.append(path)
+    except BaseException:
+        for path in written:
+            Path(path).unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +192,7 @@ def cmd_maxent(args) -> int:
     problem = MaxEntProblem(u=u, grid=grid, target_moment=target,
                             tol=args.tol, max_iter=args.max_iter)
     solution = solve_maxent(problem)
-    io.dump_json(args.out, {
+    _write_outputs((io.dump_json, args.out, {
         "kind": "maxent_solution",
         "lambda": solution.lam,
         "log_k": -solution.density.log_omega,
@@ -183,13 +200,11 @@ def cmd_maxent(args) -> int:
         "iterations": solution.iterations,
         "converged": solution.converged,
         "target_moment": target,
-    })
-    if args.table is not None:
-        io.write_table(args.table, {
-            "x": grid.points,
-            "f": solution.density.values,
-            "U_tilde": solution.normalized_potential.values,
-        })
+    }), (io.write_table, args.table, {
+        "x": grid.points,
+        "f": solution.density.values,
+        "U_tilde": solution.normalized_potential.values,
+    }))
     print(f"lambda = {solution.lam:.17g}")
     return EXIT_OK
 
@@ -201,16 +216,14 @@ def cmd_maxent(args) -> int:
 def cmd_simulate(args) -> int:
     config = io.parse_sim_config(io.load_spec(args.config, "sim_config"))
     result = simulate(config)
-    io.dump_json(args.out, {
+    _write_outputs((io.dump_json, args.out, {
         "kind": "sim_result",
         "tv_distance": result.tv_distance,
         "n_samples_used": result.n_samples_used,
         "seed": result.seed,
         "rng_algorithm": result.rng_algorithm,
-    })
-    if args.hist is not None:
-        io.write_table(args.hist, {"x": config.grid.points,
-                                   "f": result.histogram.values})
+    }), (io.write_table, args.hist, {"x": config.grid.points,
+                                     "f": result.histogram.values}))
     print(f"tv_distance = {result.tv_distance:.17g}")
     return EXIT_OK
 
@@ -227,22 +240,20 @@ def cmd_decompose(args) -> int:
     report = decompose_samples(samples, grid, estimator=args.estimator,
                                bins=args.bins, bandwidth=args.bandwidth)
     slope, intercept = fit_linear_intensity(report)
-    io.write_table(args.out, {
+    _write_outputs((io.write_table, args.out, {
         "x": grid.points,
         "f": report.density_estimate.values,
         "U_tilde": report.normalized_potential.values,
         "E_s": report.stochastic_intensity.values,
         "mask": report.mask,
-    })
-    if args.report is not None:
-        io.dump_json(args.report, {
-            "kind": "decomposition_report",
-            "estimator": report.estimator,
-            "n_out_of_range": report.n_out_of_range,
-            "trim_interval": list(report.trim_interval),
-            "intensity_slope": slope,
-            "intensity_intercept": intercept,
-        })
+    }), (io.dump_json, args.report, {
+        "kind": "decomposition_report",
+        "estimator": report.estimator,
+        "n_out_of_range": report.n_out_of_range,
+        "trim_interval": list(report.trim_interval),
+        "intensity_slope": slope,
+        "intensity_intercept": intercept,
+    }))
     print(f"intensity_slope = {slope:.17g}")
     print(f"intensity_intercept = {intercept:.17g}")
     return EXIT_OK

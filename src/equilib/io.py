@@ -14,9 +14,9 @@ with each '%' and ``read_table`` hands the open file's lines to
 ``np.loadtxt``, which parses them one by one, so neither holds the whole
 text and memory is O(slice + columns).
 
-Specs are UTF-8 JSON documents tagged by a top-level "kind"; unknown
-fields are rejected, and each field is checked by the object it builds,
-so a JSON null is a bad value, not the default.
+Specs are UTF-8 JSON documents tagged by a "kind", which a nested spec may
+omit; unknown fields are rejected, and each field is checked by the object
+it builds, so a JSON null is a bad value, not the default.
 """
 
 from __future__ import annotations
@@ -238,6 +238,11 @@ def parse_potential(obj: dict):
 def parse_sim_config(obj: dict) -> SimConfig:
     _check_fields(obj, {"kind", "potential", "grid", "dt", "n_steps",
                         "burn_in", "n_chains", "seed"}, "sim_config")
+    for name in ("potential", "grid"):  # a nested spec may omit its kind
+        spec = obj.get(name)
+        if isinstance(spec, dict) and spec.get("kind", name) != name:
+            raise FormatError(f"sim_config: the {name} spec has kind "
+                              f"{spec['kind']!r}")
     with _spec_errors("sim_config"):
         return SimConfig(
             potential=parse_potential(obj["potential"]),

@@ -690,6 +690,28 @@ def test_simulate_non_integer_count_exits_2(tmp_path, capsys, change):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, kind", [("potential", "sim_config"),
+                                         ("grid", "potential")])
+def test_simulate_nested_spec_of_another_kind_exits_2(tmp_path, capsys,
+                                                     field, kind):
+    out = tmp_path / "res.json"
+    cfg = dict(SIM_CONFIG, **{field: dict(SIM_CONFIG[field], kind=kind)})
+    assert run("simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert f"the {field} spec has kind '{kind}'" in err
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_simulate_nested_spec_may_name_its_own_kind(tmp_path):
+    cfg = dict(SIM_CONFIG, n_steps=200, burn_in=20,
+               potential=dict(SIM_CONFIG["potential"], kind="potential"),
+               grid=dict(SIM_CONFIG["grid"], kind="grid"))
+    assert run("simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+               "--out", tmp_path / "res.json") == 0
+
+
 @pytest.mark.parametrize("n_chains", [2 ** 60, 2 ** 63, 2 ** 64])
 def test_simulate_too_many_chains_exits_2(tmp_path, capsys, n_chains):
     # rejected by SimConfig before a single chain is allocated
@@ -803,3 +825,40 @@ def test_non_utf8_input_exits_2(tmp_path, capsys, name, data, argv):
     err = capsys.readouterr().err
     assert "not UTF-8" in err and err.count("\n") == 1
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# a failed command leaves no output file
+
+
+def _two_output_argv(tmp_path, command):
+    """argv of a command whose first output is first.* and whose second
+    output goes to a missing directory."""
+    samples = tmp_path / "samples.csv"
+    io.write_table(samples, {"x": np.linspace(-1, 1, 200)})
+    missing = tmp_path / "missing"
+    cfg = dict(SIM_CONFIG, n_steps=200, burn_in=20)
+    return {
+        "maxent": ["maxent", "--u", "x", "--moment", 0.5, "--lower", 0,
+                   "--upper", 10, "--points", 101, "--out",
+                   tmp_path / "first.json", "--table", missing / "t.csv"],
+        "simulate": ["simulate", "--config",
+                     write_json(tmp_path / "cfg.json", cfg), "--out",
+                     tmp_path / "first.json", "--hist", missing / "h.csv"],
+        "decompose": ["decompose", "--samples", samples, "--lower", -2,
+                      "--upper", 2, "--points", 101, "--out",
+                      tmp_path / "first.csv", "--report", missing / "r.json"],
+    }[command]
+
+
+@pytest.mark.parametrize("command", ["maxent", "simulate", "decompose"])
+def test_failed_second_output_removes_the_first(tmp_path, capsys, command):
+    argv = _two_output_argv(tmp_path, command)
+    assert run(*argv) == 2
+    assert _one_line_error(capsys)
+    assert not list(tmp_path.glob("first.*"))
+    # with the directory there, both outputs are written
+    (tmp_path / "missing").mkdir()
+    assert run(*argv) == 0
+    assert len(list(tmp_path.glob("first.*"))) == 1
+    assert len(list((tmp_path / "missing").iterdir())) == 1

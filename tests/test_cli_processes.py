@@ -43,6 +43,15 @@ def cli_error(tmp_path, argv) -> str:
     return err
 
 
+def test_subnormal_gamma_shape_runs_without_warnings(tmp_path):
+    # the default grid's exact tail is plain float math: no NumPy warning
+    proc = _start(tmp_path, ["catalog", "--family", "gamma", "--alpha",
+                             "5e-324", "--beta", "1", "--out", "g.csv"])
+    _, err = proc.communicate()
+    assert proc.returncode == 0 and err == ""
+    assert (tmp_path / "g.csv").exists()
+
+
 def _reject(name):
     raise ValueError(f"non-standard JSON constant {name}")
 

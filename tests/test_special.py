@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 import scipy.special
 
-from equilib import (Gamma, Poisson, SupportError, digamma, gammaln,
-                     incomplete_gamma)
-from equilib.catalog import DEFAULT_POINTS, TAIL_MASS
+from equilib import Gamma, Poisson, SupportError, digamma, gammaln
+from equilib.catalog import (_EXACT_TAIL_MAX, DEFAULT_POINTS, TAIL_MASS,
+                             _gamma_tail, _poisson_tail)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -82,51 +82,37 @@ def test_gammaln_rejects_outside_support(x):
 
 
 # ---------------------------------------------------------------------------
-# incomplete gamma
+# the default grids' exact tails, over the domain that reaches them: v at
+# most _EXACT_TAIL_MAX and the tail at least 15 past the mean
 
 
-@pytest.mark.parametrize("a", np.geomspace(1e-3, 1e6, 28))
-def test_incomplete_gamma_against_library_oracle(a):
-    x = np.linspace(0.0, 3.0 * a, 151)
-    p, q = incomplete_gamma(a, x)
-    for got, ref in ((p, scipy.special.gammainc(a, x)),
-                     (q, scipy.special.gammaincc(a, x))):
-        assert np.max(np.abs(got - ref)) <= 1e-12
-        big = ref > 1e-100
-        assert np.all(np.abs(got - ref)[big] <= 1e-6 * ref[big])
+def _assert_relative(got, ref):
+    if ref > 1e-290:  # below it the tails lose digits to subnormals
+        assert abs(got - ref) <= 1e-12 * ref, (got, ref)
+    else:
+        assert got <= 1e-280, (got, ref)
 
 
-@pytest.mark.parametrize("lam", [0.1, 3.0, 50.0, 1e3, 1e6])
-def test_poisson_tail_is_lower_incomplete_gamma(lam):
-    k = math.floor(lam) + np.arange(2000.0)
-    ref = scipy.special.pdtrc(k, lam)
-    got = incomplete_gamma(k + 1.0, lam)[0]
-    assert np.max(np.abs(got - ref)) <= 1e-12
-    big = ref > 1e-100
-    assert np.all(np.abs(got - ref)[big] <= 1e-6 * ref[big])
+def test_poisson_tail_against_library_oracle():
+    lams = np.concatenate([np.geomspace(1e-9, _EXACT_TAIL_MAX, 300),
+                           np.linspace(5.5, 8.2, 28)])
+    for lam in map(float, lams):
+        first = max(31, math.ceil(lam + 10.0 * math.sqrt(lam)) + 1)
+        for n in {31, 61, 121, first, 2 * first}:
+            if n >= lam + 15.0:
+                # P(X >= n) = P(X > n - 1)
+                _assert_relative(_poisson_tail(n, lam),
+                                 scipy.special.pdtrc(n - 1, lam))
 
 
-def test_incomplete_gamma_shapes_and_edges():
-    p, q = incomplete_gamma(2.0, 1.0)
-    assert isinstance(p, float) and isinstance(q, float)
-    assert p == pytest.approx(1.0 - 2.0 * math.exp(-1.0), rel=1e-14)
-    assert p + q == pytest.approx(1.0, abs=1e-15)
-    assert incomplete_gamma(3.0, 0.0) == (0.0, 1.0)
-    p, q = incomplete_gamma(np.array([[0.5], [5.0]]), np.array([0.1, 4.0, 9.0]))
-    assert p.shape == q.shape == (2, 3)
-    assert np.allclose(p, scipy.special.gammainc([[0.5], [5.0]],
-                                                 [0.1, 4.0, 9.0]),
-                       rtol=1e-13, atol=0)
-    # an underflowing shape leaves the prefactor finite
-    assert incomplete_gamma(1e-320, 15.0) == (1.0, 0.0)
-
-
-@pytest.mark.parametrize("a, x", [(0.0, 1.0), (-1.0, 1.0), (np.nan, 1.0),
-                                  (np.inf, 1.0), (1.0, -1.0), (1.0, np.nan),
-                                  (1.0, np.inf)])
-def test_incomplete_gamma_rejects_outside_support(a, x):
-    with pytest.raises(SupportError):
-        incomplete_gamma(a, x)
+def test_gamma_tail_against_library_oracle():
+    alphas = np.concatenate([[5e-324], np.geomspace(1e-300, 1e-3, 30),
+                             np.geomspace(1e-3, _EXACT_TAIL_MAX, 200)])
+    for a in map(float, alphas):
+        first = a + 10.0 * math.sqrt(a) + 15.0
+        for x in np.linspace(a + 15.0, 2.0 * first, 25):
+            _assert_relative(_gamma_tail(a, float(x)),
+                             scipy.special.gammaincc(a, x))
 
 
 # ---------------------------------------------------------------------------
@@ -159,3 +145,18 @@ def test_gamma_default_grid_matches_scipy_loop(alpha):
         grid = Gamma(alpha, beta).default_grid()
         assert (grid.lower, grid.upper, grid.n_points) == \
             _scipy_gamma_grid(alpha, beta)
+
+
+def test_default_grids_match_scipy_loops_where_the_exact_tail_decides():
+    # dense where the bound cannot settle the first upper: lam up to 6.5 and
+    # alpha up to 22.9, the exact tail's whole domain
+    for lam in np.linspace(5.5, 8.2, 271):
+        grid = Poisson(lam).default_grid()
+        assert (grid.lower, grid.upper, grid.n_points) == \
+            _scipy_poisson_grid(lam)
+    for alpha in np.concatenate([np.linspace(0.03, 0.2, 69),
+                                 np.linspace(15.0, 32.0, 69)]):
+        for beta in (0.5, 1.0, 4.0):
+            grid = Gamma(alpha, beta).default_grid()
+            assert (grid.lower, grid.upper, grid.n_points) == \
+                _scipy_gamma_grid(alpha, beta)
