@@ -6,7 +6,7 @@ import scipy.special
 
 from equilib import Gamma, Poisson, SupportError, digamma, gammaln
 from equilib.catalog import (_EXACT_TAIL_MAX, DEFAULT_POINTS, TAIL_MASS,
-                             _gamma_tail, _poisson_tail)
+                             _gamma_tail, _poisson_tail, _tail_negligible)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -103,6 +103,44 @@ def test_poisson_tail_against_library_oracle():
                 # P(X >= n) = P(X > n - 1)
                 _assert_relative(_poisson_tail(n, lam),
                                  scipy.special.pdtrc(n - 1, lam))
+
+
+@pytest.mark.parametrize("a", np.geomspace(1e-3, 1e6, 28))
+def test_incomplete_gamma_against_library_oracle(a):
+    # Gamma(a, beta)'s tail test at offsets from 15 past the mean to twice
+    # the grid's first upper: Q(a, x) from _gamma_tail where it is used, a
+    # tail called negligible is so, and below the cap the call is exact
+    a = float(a)
+    first = a + 10.0 * math.sqrt(a) + 15.0
+    for x in map(float, np.linspace(a + 15.0, 2.0 * first, 151)):
+        ref = scipy.special.gammaincc(a, x)
+        if a <= _EXACT_TAIL_MAX:
+            _assert_relative(_gamma_tail(a, x), ref)
+        negligible = _tail_negligible(x - a, a, 1.0,
+                                      lambda: _gamma_tail(a, x))
+        if negligible:
+            assert ref <= TAIL_MASS * (1.0 + 1e-12), (x, ref)
+        elif a <= _EXACT_TAIL_MAX:
+            assert ref > TAIL_MASS * (1.0 - 1e-12), (x, ref)
+
+
+@pytest.mark.parametrize("lam", [0.1, 3.0, 50.0, 1e3, 1e6])
+def test_poisson_tail_is_lower_incomplete_gamma(lam):
+    # P(X >= n) = P(n, lam), at n from 15 past the mean to twice the grid's
+    # first upper, with the tail test judged as for the Gamma tail
+    first = max(30, math.ceil(lam + 10.0 * math.sqrt(lam)))
+    ns = np.unique(np.round(np.linspace(math.ceil(lam + 15.0),
+                                        2 * first + 1, 400)))
+    for n in map(int, ns):
+        ref = scipy.special.gammainc(n, lam)
+        if lam <= _EXACT_TAIL_MAX:
+            _assert_relative(_poisson_tail(n, lam), ref)
+        negligible = _tail_negligible(n - lam, lam, 1.0 / 3.0,
+                                      lambda: _poisson_tail(n, lam))
+        if negligible:
+            assert ref <= TAIL_MASS * (1.0 + 1e-12), (n, ref)
+        elif lam <= _EXACT_TAIL_MAX:
+            assert ref > TAIL_MASS * (1.0 - 1e-12), (n, ref)
 
 
 def test_gamma_tail_against_library_oracle():
