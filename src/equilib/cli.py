@@ -6,11 +6,13 @@ machine readable; see io.py for the file formats.
 
 Exit codes: 0 success, 2 input/precondition error, 3 infeasible problem.
 A command that fails removes the output files it has already written.
+The parser is built once per process, on the first ``main``.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import re
 import sys
 from dataclasses import fields
@@ -281,6 +283,7 @@ def _glue_negative_values(argv):
     return out
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="equilib",

@@ -10,10 +10,10 @@ stochastic intensity, revealing the causal intensity up to sign.
 The kernel estimator is a Gaussian kernel density estimate, linear-binned
 onto the grid and FFT-convolved with the sampled kernel (Silverman, Appl.
 Stat. 31, 1982, AS 176; Wand, JCGS 3(4), 1994).  For N samples on M points
-it costs O(N + (M + 2 pad) log(M + 2 pad)), where ``pad`` grid points on
-each side cover min(8 bandwidths, the grid's width plus the farthest
-sample's distance off the grid).  It differs from the direct Gaussian
-sum by O((h / bandwidth)^2) for spacing h.
+it costs O(N + L log L) for the FFT length L, the power of two at or above
+M + 4 pad, where ``pad`` grid points on each side cover min(8 bandwidths,
+the grid's width plus the farthest sample's distance off the grid).  It
+differs from the direct Gaussian sum by O((h / bandwidth)^2) for spacing h.
 """
 
 from __future__ import annotations
@@ -133,7 +133,7 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     # for bandwidth << h the off-centre arguments overflow to inf: weight 0
     with np.errstate(over="ignore"):
         kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * h / bandwidth) ** 2)
-    nfft = size + 2 * pad
+    nfft = 1 << (size + 2 * pad - 1).bit_length()  # no wrap: >= size + 2 pad
     conv = np.fft.irfft(np.fft.rfft(counts, nfft) * np.fft.rfft(kernel, nfft),
                         nfft)[2 * pad:2 * pad + n]
     mass = max(bandwidth * math.sqrt(2.0 * math.pi), h * kernel.sum())

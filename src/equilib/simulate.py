@@ -20,12 +20,14 @@ into [0, P/2], P = 2 (upper - lower), by mod, P - y and minimum (out by
 keyword: NumPy 2.4 deprecates it positional) and writes y + lower over the
 row: 9 ufunc calls on the double well.  The fold is the identity off the
 walls, so a chunk of CHUNK steps runs clear, without it (6 calls), if the
-last kept every chain dt max|E_c| + REACH amp inside; ``_fold_free`` then
-proves it exact, else it reruns folded on a saved copy of its kicks.
+last clear chunk's rows (or a folded one's last row) kept every chain
+dt max|E_c| + REACH amp inside; ``_fold_free`` then proves it exact, else
+it reruns folded on a saved copy of its kicks.
 """
 
 from __future__ import annotations
 
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,7 +142,7 @@ def simulate(config: SimConfig) -> SimResult:
                     saved = rows.copy()
                 x = x0
                 try:
-                    with np.errstate(all=None if fold else "raise"):
+                    with nullcontext() if fold else np.errstate(all="raise"):
                         for row in rows:
                             advance(x, y)
                             add(y, row, y)
@@ -149,7 +151,8 @@ def simulate(config: SimConfig) -> SimResult:
                                 subtract(period, y, z)
                                 minimum(y, z, out=y)
                             x = add(y, lower, row)
-                    lo, hi = rows.min(), rows.max()
+                    span = x if fold else rows  # clear passes prove every row
+                    lo, hi = span.min(), span.max()
                     if fold or _fold_free(lo, hi, grid.lower, period):
                         break
                 except (ArithmeticError, ValueError):

@@ -862,3 +862,62 @@ def test_failed_second_output_removes_the_first(tmp_path, capsys, command):
     assert run(*argv) == 0
     assert len(list(tmp_path.glob("first.*"))) == 1
     assert len(list((tmp_path / "missing").iterdir())) == 1
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+
+
+def _valid_argv(tmp_path, command):
+    (tmp_path / "missing").mkdir(exist_ok=True)
+    return _two_output_argv(tmp_path, command)
+
+
+def test_parser_is_built_once(tmp_path, capsys):
+    parser = cli.build_parser()
+    assert run(*_valid_argv(tmp_path, "decompose")) == 0
+    assert run("transform") == 2
+    assert run(*_valid_argv(tmp_path, "maxent")) == 0
+    assert cli.build_parser() is parser
+
+
+# each usage error, then a valid call of a subcommand: a mutually
+# exclusive pair, a missing required group, a bad choice, a missing value
+# and an unknown subcommand
+@pytest.mark.parametrize("bad,command", [
+    (["maxent", "--u", "x", "--moment", 0.5, "--samples", "s.csv",
+      "--out", "m.json"], "maxent"),
+    (["maxent", "--u", "x", "--out", "m.json"], "maxent"),
+    (["decompose", "--samples", "s.csv", "--estimator", "box", "--out",
+      "d.csv"], "decompose"),
+    (["simulate", "--config"], "simulate"),
+    (["bogus"], "decompose"),
+])
+def test_usage_error_leaves_the_parser_usable(tmp_path, capsys, bad,
+                                              command):
+    parser = cli.build_parser()
+    assert run(*bad) == 2
+    assert _one_line_error(capsys)
+    assert run(*_valid_argv(tmp_path, command)) == 0
+    assert cli.build_parser() is parser
+
+
+@pytest.mark.parametrize("command,name", [
+    ("decompose", "decompose_samples"),
+    ("simulate", "simulate"),
+])
+def test_patched_library_function_is_called(tmp_path, monkeypatch, command,
+                                            name):
+    # the parser maps a subcommand to cmd_*, which looks the library
+    # function up when it runs, so a spy set after the first call sees it
+    argv = _valid_argv(tmp_path, command)
+    assert run(*argv) == 0
+    calls, original = [], getattr(cli, name)
+
+    def spy(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, spy)
+    assert run(*argv) == 0
+    assert calls == [name]

@@ -1,3 +1,4 @@
+import statistics
 import time
 
 import numpy as np
@@ -11,7 +12,7 @@ from equilib import (EquilibriumDensity, Exponential, Normal,
                      decompose_samples, fisher_information_number,
                      fit_linear_intensity, normalize, shannon_entropy,
                      stochastic_intensity)
-from equilib.diagnostics import _kernel_density
+from equilib.diagnostics import _kernel_density, _silverman_bandwidth
 
 X = PolynomialPotential((0.0, 1.0))
 X2 = PolynomialPotential((0.0, 0.0, 1.0))
@@ -269,3 +270,74 @@ def test_kernel_estimate_has_unit_mass_inside_grid(fractions, bandwidth):
     samples = 0.999 * (1.0 - 8 * bandwidth) * np.array(fractions)
     raw = _kernel_density(samples, grid, bandwidth)
     assert grid.quadrature(raw) == pytest.approx(1.0, abs=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the FFT length of the binned kernel estimate
+
+
+def _fft_lengths(monkeypatch, samples, grid, bandwidth, unrounded=False):
+    """_kernel_density, the FFT lengths it asks for and size + 2 pad, the
+    linear convolution's length.  The first transform is of the counts,
+    whose size is n + 2 pad, so that length is 2 size - n.  With unrounded,
+    every transform runs at that length instead of the one asked for."""
+    rfft, irfft, asked, full = np.fft.rfft, np.fft.irfft, [], []
+
+    def length(n):
+        asked.append(n)
+        return full[0] if unrounded else n
+
+    def spy_rfft(a, n=None):
+        if not full:
+            full.append(2 * a.size - grid.n_points)
+        return rfft(a, length(n))
+
+    def spy_irfft(a, n=None):
+        return irfft(a, length(n))
+
+    with monkeypatch.context() as m:
+        m.setattr(np.fft, "rfft", spy_rfft)
+        m.setattr(np.fft, "irfft", spy_irfft)
+        raw = _kernel_density(samples, grid, bandwidth)
+    return raw, asked, full[0]
+
+
+def _fft_case(bw_over_h):
+    """Samples, grid and bandwidth: with bw_over_h, those of
+    test_binned_kernel_matches_direct_sum; without, the decompose
+    workload's 10 000 stratified N(1, 0.7^2) samples on 2001 points over
+    [-2.5, 4.5] with Silverman's bandwidth, where size + 2 pad is the
+    prime 2917."""
+    if bw_over_h is not None:
+        grid = build_grid("continuous", -2.5, 4.5, 701)
+        samples = np.random.default_rng(7).normal(1.0, 0.7, 20_000)
+        return samples, grid, bw_over_h * grid.spacing
+    rng = np.random.default_rng(23)
+    dist = statistics.NormalDist(1.0, 0.7)
+    u = (np.arange(10_000) + rng.random(10_000)) / 10_000
+    samples = np.array([dist.inv_cdf(p) for p in u])
+    grid = build_grid("continuous", -2.5, 4.5, 2001)
+    return samples, grid, _silverman_bandwidth(samples)
+
+
+FFT_CASES = [None, 4.0, 10.0, 40.0]
+
+
+@pytest.mark.parametrize("bw_over_h", FFT_CASES)
+def test_fft_length_is_the_next_power_of_two(bw_over_h, monkeypatch):
+    raw, asked, full = _fft_lengths(monkeypatch, *_fft_case(bw_over_h))
+    nfft = asked[0]
+    assert asked == [nfft] * 3
+    assert nfft & (nfft - 1) == 0 and full <= nfft < 2 * full
+    if bw_over_h is None:
+        assert full == 2917 and all(full % d for d in range(2, 55))
+
+
+@pytest.mark.parametrize("bw_over_h", FFT_CASES)
+def test_fft_length_matches_the_unrounded_length(bw_over_h, monkeypatch):
+    samples, grid, bandwidth = _fft_case(bw_over_h)
+    raw, asked, full = _fft_lengths(monkeypatch, samples, grid, bandwidth)
+    ref, at_full, _ = _fft_lengths(monkeypatch, samples, grid, bandwidth,
+                                   unrounded=True)
+    assert at_full == asked and full < asked[0]
+    assert np.max(np.abs(raw - ref)) <= 1e-12 * np.max(ref)

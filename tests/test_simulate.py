@@ -404,8 +404,9 @@ def _chunk_story(cfg, margin, monkeypatch):
     """The oracle's run and, for each chunk that simulate steps, (first
     step, steps, tried clear, row of its first wall contact or None).
 
-    A chunk is tried clear when the last chunk's positions (or the start)
-    lie more than margin + REACH amp inside both walls; a contact is a step
+    A chunk is tried clear when the positions of the last chunk (of its
+    last row alone where it ran folded), or the start, lie more than
+    margin + REACH amp inside both walls; a contact is a step
     whose pre-fold sum y, which the oracle passes to np.mod, has
     x = y + lower outside (lower, lower + P/2)."""
     sums, mod = [], np.mod
@@ -432,10 +433,11 @@ def _chunk_story(cfg, margin, monkeypatch):
         for t in range(b, min(b + block, cfg.n_steps), SIM_MODULE.CHUNK):
             n = min(SIM_MODULE.CHUNK, b + block - t, cfg.n_steps - t)
             hits = np.flatnonzero(contact[t:t + n])
-            story.append((t, n, bool(grid.lower + reach < lo
-                                     and hi < grid.upper - reach),
-                          int(hits[0]) if hits.size else None))
-            lo, hi = positions[:, t:t + n].min(), positions[:, t:t + n].max()
+            tried = bool(grid.lower + reach < lo and hi < grid.upper - reach)
+            story.append((t, n, tried, int(hits[0]) if hits.size else None))
+            clear = tried and not hits.size
+            span = positions[:, t:t + n] if clear else positions[:, t + n - 1]
+            lo, hi = span.min(), span.max()
     return reference, story
 
 
