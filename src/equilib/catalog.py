@@ -10,18 +10,19 @@ and ``make_family`` builds any of them from its fields, each checked by
 * ``intensity(x)``             causal intensity -dU_tilde/dx
 * ``density(x)``               e^(-U_tilde), shared by all families
 * ``default_grid()``           a support truncated so that the lost tail
-                               mass is below 1e-10; a sub-gamma bound
-                               settles the Poisson and Gamma tails, else
-                               ``_poisson_tail`` or ``_gamma_tail`` does,
-                               on the small domain that reaches them
+                               mass is below 1e-10: the Chernoff bound
+                               settles every Poisson tail; a sub-gamma
+                               bound settles the Gamma tail, else
+                               ``_gamma_tail`` does, on the small domain
+                               that reaches it
 
 and is itself a potential spec (``values_on``, ``intensity``,
 ``euler_map`` and ``at``), so it goes to the transforms and the simulator
 as is.  Each family writes its -U' once, in place and without the support
 check, in ``scaled_intensity(x, scale, out)``; ``intensity`` is the check
-plus that at scale 1, and ``euler_map(dt)`` is that at scale dt plus x.
-The Poisson potential takes ln Gamma from ``special.gammaln``.  The module
-also holds ``PearsonPotential``, the Pearson system: minus the integral of
+plus that at scale 1, and ``euler_map(dt)`` is that at scale dt plus x,
+so no drift raises (Poisson's psi is the unchecked ``special._digamma``):
+off the support it may give NaN or inf.  The module also holds ``PearsonPotential``, the Pearson system: minus the integral of
 its causal intensity on a grid, so that ``normalize(PearsonPotential(...),
 grid)`` is its density on either grid kind.
 """
@@ -37,40 +38,38 @@ from .errors import (FormatError, NonNormalizableError, PotentialError,
                      SupportError, require_integer, require_real)
 from .grid import CONTINUOUS, LATTICE, Grid, build_grid
 from .potential import PolynomialPotential
-from .special import digamma, gammaln
+from .special import _digamma, gammaln
 
 DEFAULT_POINTS = 4001
 TAIL_MASS = 1e-10
-# The exact tails below hold only for small v.  The bound decides every tail
-# with v >= 22.9 at its first offset, but above v ~ 1e34 that offset rounds
+# _gamma_tail holds only for small a.  The bound decides every tail with
+# a >= 22.9 at its first offset, but above a ~ 1e34 that offset rounds
 # away (t = 0), and there the cap decides: an undecided tail counts as heavy.
 _EXACT_TAIL_MAX = 32.0
 
 
-def _tail_negligible(t, v, c, exact):
-    """Whether a right tail P(X - E[X] >= t) is at most TAIL_MASS.
+def _tail_negligible(a, x):
+    """Whether Q(a, x) = P(X >= x), X ~ Gamma(a, 1), is at most TAIL_MASS.
 
-    X - E[X] is sub-gamma with variance factor v and scale c, so the tail
-    is at most exp(-t^2 / (2 (v + c t))) (Boucheron, Lugosi and Massart,
-    "Concentration Inequalities", 2013, sec. 2.4).  The exact tail
-    ``exact()`` decides only where that bound does not, and only for
-    v <= _EXACT_TAIL_MAX; beyond it an undecided tail counts as heavy.
+    X - a is sub-gamma with variance factor a and scale 1, so the tail is
+    at most exp(-t^2 / (2 (a + t))) at t = x - a (Boucheron, Lugosi and
+    Massart, "Concentration Inequalities", 2013, sec. 2.4).  The exact
+    ``_gamma_tail`` decides only where that bound does not, and only for
+    a <= _EXACT_TAIL_MAX; beyond it an undecided tail counts as heavy.
     """
-    if t > 0 and t * (t / (v + c * t)) >= -2.0 * math.log(TAIL_MASS):
+    t = x - a
+    if t > 0 and t * (t / (a + t)) >= -2.0 * math.log(TAIL_MASS):
         return True
-    return v <= _EXACT_TAIL_MAX and exact() <= TAIL_MASS
+    return a <= _EXACT_TAIL_MAX and _gamma_tail(a, x) <= TAIL_MASS
 
 
-def _poisson_tail(n, lam):
-    """P(X >= n) for X ~ Poi(lam) and n > lam: the pmf summed from n until a
-    term stops adding."""
-    term = math.exp(n * math.log(lam) - lam - math.lgamma(n + 1.0))
-    total = 0.0
-    while total + term != total:
-        total += term
-        n += 1
-        term *= lam / n
-    return total
+def _chernoff_negligible(n, lam):
+    """Whether P(X >= n), X ~ Poi(lam), is at most TAIL_MASS by the Chernoff
+    bound e^(-lam) (e lam / n)^n for n > lam (Boucheron, Lugosi and
+    Massart, 2013, sec. 2.2), in logs: n log1p((n - lam) / lam) - (n - lam)
+    at least -ln TAIL_MASS."""
+    t = n - lam
+    return t > 0 and n * math.log1p(t / lam) - t >= -math.log(TAIL_MASS)
 
 
 def _gamma_tail(a, x):
@@ -278,7 +277,7 @@ class Poisson(_Family):
         return self.lam + self.potential(x)
 
     def scaled_intensity(self, x, scale, out):
-        np.subtract(self._drift[0], digamma(x + 1.0), out)
+        np.subtract(self._drift[0], _digamma(x + 1.0), out)
         return np.multiply(out, scale, out)
 
     def default_grid(self) -> Grid:
@@ -287,10 +286,8 @@ class Poisson(_Family):
             raise SupportError("lambda is too large for a default lattice; "
                                "pass an explicit grid")
         upper = max(30, math.ceil(bound))
-        # P(X > upper) = P(X >= upper + 1); Bernstein: c = 1/3
-        while not _tail_negligible(
-                upper + 1 - self.lam, self.lam, 1.0 / 3.0,
-                lambda: _poisson_tail(upper + 1, self.lam)):
+        # P(X > upper) = P(X >= upper + 1)
+        while not _chernoff_negligible(upper + 1, self.lam):
             upper *= 2
         return build_grid(LATTICE, 0, upper, upper + 1)
 
@@ -344,11 +341,9 @@ class Gamma(_Family):
 
     def default_grid(self) -> Grid:
         upper = self.beta * (self.alpha + 10.0 * math.sqrt(self.alpha) + 15.0)
-        # P(X > upper) = Q(alpha, upper / beta); X / beta is sub-gamma with
-        # v = alpha, c = 1
+        # P(X > upper) = Q(alpha, upper / beta)
         while math.isfinite(upper) and not _tail_negligible(
-                upper / self.beta - self.alpha, self.alpha, 1.0,
-                lambda: _gamma_tail(self.alpha, upper / self.beta)):
+                self.alpha, upper / self.beta):
             upper *= 2.0
         if not math.isfinite(upper):
             raise SupportError("alpha * beta is too large for a default grid; "

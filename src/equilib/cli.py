@@ -130,35 +130,23 @@ def _load_transform_input(args):
 
 def cmd_transform(args) -> int:
     role, obj, grid = _load_transform_input(args)
-    x = grid.points
+    from_density = role == "density"
     if args.to == "density":
-        if role == "density":
-            density = obj
-        else:
-            density = normalize(obj, grid)
-        io.write_table(args.out, {"x": x, "f": density.values})
-        return EXIT_OK
-    if args.to == "potential":
-        if role == "density":
-            upot = potential_of_density(obj)
-            if upot.mask.all():
-                raise io.FormatError("all points masked (density is zero)")
-        else:
-            upot = normalized_potential(obj, grid)
-        io.write_table(args.out, {"x": x, "U_tilde": upot.values,
-                                  "mask": upot.mask})
-        return EXIT_OK
-    # intensity: stochastic from a density, causal from a potential
-    if role == "density":
-        table = stochastic_intensity(obj)
-        if table.mask.all():
-            raise io.FormatError("all points masked (density is zero)")
-        io.write_table(args.out, {"x": x, "E_s": table.values,
-                                  "mask": table.mask})
-    else:
-        table = causal_intensity(obj, grid)
-        io.write_table(args.out, {"x": x, "E_c": table.values,
-                                  "mask": table.mask})
+        name, table = "f", obj if from_density else normalize(obj, grid)
+    elif args.to == "potential":
+        name, table = "U_tilde", (potential_of_density(obj) if from_density
+                                  else normalized_potential(obj, grid))
+    elif from_density:  # intensity: stochastic from a density
+        name, table = "E_s", stochastic_intensity(obj)
+    else:  # causal from a potential
+        name, table = "E_c", causal_intensity(obj, grid)
+    if table.mask.all():
+        raise io.FormatError(f"all points masked: {name} is undefined on "
+                             "this grid")
+    columns = {"x": grid.points, name: table.values}
+    if args.to != "density":
+        columns["mask"] = table.mask
+    io.write_table(args.out, columns)
     return EXIT_OK
 
 

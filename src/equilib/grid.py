@@ -10,6 +10,8 @@ at the last point, and its inverse, the cumulative sum.
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -33,6 +35,11 @@ class Grid:
         Support bounds, ``lower < upper``.
     n_points : int
         Number of grid points, at least 3.
+
+    The points must be distinct finite floats, judged from the bounds
+    alone: a lattice lies within +-2**53, and a continuous spacing is
+    finite, normal and above 4 * 2**-52 * max(|lower|, |upper|), more than
+    rounding can move two neighbouring points ``lower + i * spacing`` by.
     """
 
     kind: str
@@ -52,6 +59,7 @@ class Grid:
                 f"reversed or empty bounds: lower={self.lower}, upper={self.upper}"
             )
         require_integer(self.n_points, "n_points", GridError, 3)
+        big = max(abs(self.lower), abs(self.upper))
         if self.kind == LATTICE:
             if self.lower != int(self.lower) or self.upper != int(self.upper):
                 raise GridError("lattice bounds must be integers")
@@ -61,6 +69,13 @@ class Grid:
                     f"lattice from {self.lower} to {self.upper} has {expected} "
                     f"points, got n_points={self.n_points}"
                 )
+            if big > 2.0 ** 53:
+                raise GridError("lattice bounds beyond 2**53 are not exact "
+                                "floats")
+        elif not (max(4.0 * 2.0 ** -52 * big, sys.float_info.min)
+                  < self.spacing < math.inf):
+            raise GridError(f"{self.n_points} points from {self.lower!r} to "
+                            f"{self.upper!r} are not distinct finite floats")
 
     @property
     def spacing(self) -> float:

@@ -26,8 +26,9 @@ A "potential spec" is any object with a ``values_on(grid)`` method
 returning the tabulated potential; objects may additionally provide
 ``intensity(x)`` (the closed-form -U' at any points), ``euler_map(dt)``
 (the simulator's Euler step x -> x + dt * intensity(x), as a map
-``(x, out) -> out`` that writes into ``out``) and ``at(x)`` (pointwise
-evaluation off the grid).
+``(x, out) -> out`` that writes into ``out``; off the grid it may write
+NaN or inf, but it must not raise and must end in bounded time) and
+``at(x)`` (pointwise evaluation off the grid).
 ``TabulatedPotential``, ``PolynomialPotential``, ``PearsonPotential`` and
 the catalog families themselves are potential specs.
 """
@@ -108,7 +109,8 @@ class PolynomialPotential:
         for j, c in enumerate(coeffs):
             require_real(c, f"coeffs[{j}]", PotentialError)
         object.__setattr__(self, "coeffs", tuple(float(c) for c in coeffs))
-        d = np.polynomial.polynomial.polyder(self.coeffs).tolist()
+        with np.errstate(over="ignore"):  # an inf in U' is masked where used
+            d = np.polynomial.polynomial.polyder(self.coeffs).tolist()
         object.__setattr__(self, "_dcoeffs", d)
 
     def at(self, x):
@@ -217,8 +219,9 @@ def density_floor(values: np.ndarray) -> float:
 
 
 def eval_potential(U, grid: Grid) -> np.ndarray:
-    """Tabulate a potential spec on a grid, checking finiteness."""
-    vals = np.asarray(U.values_on(grid), dtype=float)
+    """Tabulate a potential spec on a grid; non-finite raises, unwarned."""
+    with np.errstate(all="ignore"):
+        vals = np.asarray(U.values_on(grid), dtype=float)
     if not np.all(np.isfinite(vals)):
         bad = grid.points[~np.isfinite(vals)][0]
         raise PotentialError(f"potential is non-finite at x = {bad}")
@@ -277,9 +280,10 @@ def stochastic_intensity(f: EquilibriumDensity) -> IntensityTable:
 
 def causal_intensity(U, grid: Grid) -> IntensityTable:
     """-dU/dx: closed form when the potential provides one, else the grid's
-    difference rule; masked where it is not finite."""
+    difference rule; masked where it is not finite, with no float warning."""
     if hasattr(U, "intensity"):
-        vals = np.asarray(U.intensity(grid.points), dtype=float)
+        with np.errstate(all="ignore"):
+            vals = np.asarray(U.intensity(grid.points), dtype=float)
     else:
         vals = -grid.derivative(eval_potential(U, grid))
     return IntensityTable(grid=grid, kind="causal",

@@ -406,11 +406,10 @@ def test_poisson_default_grid_rejects_inexact_lattice():
                                  Gamma(1e12, 1.0), Gamma(1e200, 1.0)],
                          ids=repr)
 def test_extreme_default_grids_come_from_the_tail_bound(fam, monkeypatch):
-    # the closed-form bound decides, so neither exact tail runs
+    # the closed-form bound decides, so the exact Gamma tail never runs
     def no_exact_tail(*args):
         raise AssertionError("exact tail evaluated")
 
-    monkeypatch.setattr(catalog, "_poisson_tail", no_exact_tail)
     monkeypatch.setattr(catalog, "_gamma_tail", no_exact_tail)
     grid = fam.default_grid()
     assert math.isfinite(grid.lower) and math.isfinite(grid.upper)
@@ -420,23 +419,21 @@ def test_extreme_default_grids_come_from_the_tail_bound(fam, monkeypatch):
 
 
 def test_exact_tails_run_only_on_their_small_domain(monkeypatch):
-    # the exact tails are accurate only for v <= _EXACT_TAIL_MAX and
-    # t >= 15; the sweep reaches them for lam up to 6.5, where they find
-    # the first lattice enough, and for small alpha, where they double it
+    # the Chernoff bound decides every Poisson tail; the exact Gamma tail is
+    # accurate only for a <= _EXACT_TAIL_MAX and t >= 15, and the sweep
+    # reaches it for small alpha, where it doubles the first upper
     calls = []
 
-    def spy(t, v, c, exact):
-        def logged():
-            calls.append((v, t))
-            return exact()
-        return negligible(t, v, c, logged)
+    def spy(a, x):
+        calls.append((a, x - a))
+        return gamma_tail(a, x)
 
-    negligible = catalog._tail_negligible
-    monkeypatch.setattr(catalog, "_tail_negligible", spy)
+    gamma_tail = catalog._gamma_tail
+    monkeypatch.setattr(catalog, "_gamma_tail", spy)
     for lam in np.concatenate([np.linspace(5.5, 8.2, 271),
                                np.geomspace(1e-9, 1e15, 97)]):
         Poisson(float(lam)).default_grid()
-    poisson_calls = len(calls)
+    assert not calls
     doublings = set()
     for alpha in np.concatenate([np.linspace(0.03, 0.2, 69),
                                  np.geomspace(1e-12, 1e300, 151)]):
@@ -444,9 +441,9 @@ def test_exact_tails_run_only_on_their_small_domain(monkeypatch):
             first = beta * (alpha + 10.0 * math.sqrt(alpha) + 15.0)
             doublings.add(Gamma(float(alpha), beta).default_grid().upper
                           / first)
-    assert 0 < poisson_calls < len(calls)
+    assert calls
     assert {1.0, 2.0} <= doublings
-    assert all(v <= catalog._EXACT_TAIL_MAX and t >= 15.0 for v, t in calls)
+    assert all(a <= catalog._EXACT_TAIL_MAX and t >= 15.0 for a, t in calls)
 
 
 @pytest.mark.parametrize("alpha, beta", [(1e308, 1.0), (1.0, 1e308)])

@@ -333,6 +333,66 @@ def test_transform_bad_spec_value_exits_2(tmp_path, capsys, spec):
     assert not out.exists()
 
 
+OVERFLOWING_SPECS = {
+    "polynomial": {"family": "polynomial", "coeffs": [0, 1e308, 1e308]},
+    "pearson": {"family": "pearson", "a": 0, "b0": 1e-320, "b1": 0, "b2": 0},
+}
+
+
+@pytest.mark.parametrize("name", OVERFLOWING_SPECS)
+def test_transform_all_masked_intensity_exits_2(tmp_path, capsys, name):
+    # E_c overflows at every point: one line, no float warning, no table
+    out = tmp_path / "e.csv"
+    path = write_json(tmp_path / "pot.json",
+                      dict(OVERFLOWING_SPECS[name], kind="potential"))
+    assert run("transform", "--in", path, "--to", "intensity",
+               "--lower", 1, "--upper", 2, "--points", 5, "--out", out) == 2
+    assert capsys.readouterr().err == \
+        "error: all points masked: E_c is undefined on this grid\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("to", ["potential", "density"])
+@pytest.mark.parametrize("name", OVERFLOWING_SPECS)
+def test_transform_overflowing_potential_fails_in_one_line(tmp_path, capsys,
+                                                           name, to):
+    # the tabulated U is not finite (polynomial) or its density grows
+    # toward a wall (Pearson): the error, and no float warning before it
+    out = tmp_path / "u.csv"
+    path = write_json(tmp_path / "pot.json",
+                      dict(OVERFLOWING_SPECS[name], kind="potential"))
+    assert run("transform", "--in", path, "--to", to, "--lower", 1,
+               "--upper", 2, "--points", 5, "--out", out) in (2, 3)
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("to, column", [("potential", "U_tilde"),
+                                        ("intensity", "E_s")])
+def test_transform_all_masked_density_table_exits_2(tmp_path, capsys, to,
+                                                    column):
+    # a pmf of 5e-301 everywhere lies below the density floor at every point
+    src, out = tmp_path / "f.csv", tmp_path / "out.csv"
+    io.write_table(src, {"x": [0.0, 1e300, 2e300], "f": [1.0, 1.0, 1.0]})
+    assert run("transform", "--in", src, "--to", to, "--out", out) == 2
+    assert capsys.readouterr().err == \
+        f"error: all points masked: {column} is undefined on this grid\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("grid", [
+    ["--lower", "-1e308", "--upper", "1e308", "--points", 5],
+    ["--lower", 1, "--upper", "1.0000000000000002", "--points", 5],
+    ["--grid-kind", "lattice", "--lower", 9007199254740992,
+     "--upper", 9007199254740996, "--points", 5],
+], ids=["overflow", "one-ulp", "lattice"])
+def test_catalog_grid_of_indistinct_points_exits_2(tmp_path, capsys, grid):
+    out = tmp_path / "n.csv"
+    assert run("catalog", "--family", "normal", *grid, "--out", out) == 2
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("body, message", [
     ("0,0.2\nnan,0.3\n2,0.3\n3,0.2\n", "x column has non-finite"),
     ("0,0.2\n1,inf\n2,0.3\n3,0.2\n", "f column has non-finite"),

@@ -62,3 +62,50 @@ def test_lattice_quadrature_is_sum():
 def test_non_integer_point_count_rejected(n_points):
     with pytest.raises(GridError, match="n_points must be an integer"):
         build_grid("continuous", 0, 1, n_points)
+
+
+@pytest.mark.parametrize("kind, lower, upper, n_points", [
+    ("continuous", -1e308, 1e308, 5),  # the spacing overflows
+    ("continuous", 1.0, 1.0000000000000002, 5),  # bounds one float apart
+    ("continuous", 0.0, 2e-323, 7),  # a subnormal spacing rounds up
+    ("lattice", 2 ** 53, 2 ** 53 + 4, 5),  # 2**53 + 1 is not a float
+], ids=["overflow", "one-ulp", "subnormal", "lattice"])
+def test_points_that_are_not_distinct_floats_rejected(kind, lower, upper,
+                                                      n_points):
+    with pytest.raises(GridError, match="distinct finite floats|2\\*\\*53"):
+        build_grid(kind, lower, upper, n_points)
+
+
+def _rounding_steps(lower, upper, n_points):
+    """The spacing in rounding steps of the largest bound."""
+    spacing = (upper - lower) / (n_points - 1)
+    return spacing / (2.0 ** -52 * max(abs(lower), abs(upper)))
+
+
+def test_accepted_grids_have_distinct_increasing_points():
+    # spacings from 1/4 to 8 rounding steps of the largest bound, across the
+    # float range and both signs: every accepted grid has finite, strictly
+    # increasing points, and every spacing of 5 steps or more is accepted
+    rng = np.random.default_rng(0)
+    eps = 2.0 ** -52
+    accepted = 0
+    for _ in range(3000):
+        mag = 2.0 ** rng.uniform(-960, 1000)
+        lower = mag * rng.uniform(-1.0, 1.0)
+        n_points = int(rng.integers(3, 200))
+        steps = 2.0 ** rng.uniform(-2.0, 3.0)
+        upper = lower + steps * eps * mag * (n_points - 1)
+        try:
+            g = build_grid("continuous", lower, upper, n_points)
+        except GridError:
+            assert _rounding_steps(lower, upper, n_points) <= 5.0
+            continue
+        accepted += 1
+        assert np.all(np.isfinite(g.points))
+        assert np.all(np.diff(g.points) > 0)
+    assert accepted > 1000
+
+
+def test_lattice_up_to_2_53_is_exact():
+    g = build_grid("lattice", 2 ** 53 - 4, 2 ** 53, 5)
+    assert np.all(np.diff(g.points) == 1.0)

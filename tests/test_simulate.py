@@ -7,8 +7,8 @@ import pytest
 from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
                      LinearConstant, Normal, PearsonPotential, Poisson,
                      PolynomialPotential, SimConfig, StabilityError,
-                     SupportError, TabulatedPotential, UniformLattice,
-                     build_grid, normalize, simulate, tv_distance)
+                     TabulatedPotential, UniformLattice, build_grid,
+                     normalize, simulate, tv_distance)
 from equilib.potential import causal_intensity
 
 SIM_MODULE = importlib.import_module("equilib.simulate")
@@ -507,21 +507,24 @@ def test_clear_and_folded_chunks_match_oracle(name, monkeypatch):
         assert any((t + n) % block == 0 for t, n, _ in failed)
 
 
-@pytest.mark.parametrize("error", [SupportError, FloatingPointError])
-def test_clear_pass_errors_rerun_folded(error, monkeypatch):
-    # a map that fails below the grid, where only a clear pass steps (as a
-    # Poisson chain's digamma would below -1): the folded rerun keeps the
-    # bits, and no pass warns
+@pytest.mark.parametrize("fault", ["nan", "FloatingPointError"])
+def test_clear_pass_errors_rerun_folded(fault, monkeypatch):
+    # a map that writes NaN below the grid, or divides by zero there, where
+    # only a clear pass steps: the folded rerun keeps the bits, and no pass
+    # warns or raises
     potential, grid = NEAR_WALL
-    scaled, raised = Normal.scaled_intensity, []
+    scaled, hit = Normal.scaled_intensity, []
 
     def strict(self, x, scale, out):
-        if np.any(x < grid.lower):
-            raised.append(error)
-            if error is SupportError:
-                raise SupportError("below the grid")
-            np.divide(1.0, np.zeros(1))  # raises in a clear pass alone
-        return scaled(self, x, scale, out)
+        scaled(self, x, scale, out)
+        below = x < grid.lower
+        if np.any(below):
+            hit.append(fault)
+            if fault == "nan":
+                out[below] = np.nan
+            else:
+                np.divide(out, 0.0, out, where=below)
+        return out
 
     monkeypatch.setattr(Normal, "scaled_intensity", strict)
     monkeypatch.setattr(SIM_MODULE, "REACH", -np.inf)
@@ -529,8 +532,39 @@ def test_clear_pass_errors_rerun_folded(error, monkeypatch):
                     burn_in=0, n_chains=2, seed=3)
     values, n_used, tv, _ = _reference_simulate(cfg)
     r = simulate(cfg)
-    assert raised
+    assert hit
     assert np.array_equal(r.histogram.values, values)
+    assert r.tv_distance == tv
+
+
+def test_poisson_clear_pass_below_its_support_matches_oracle(monkeypatch):
+    # every chunk is tried clear, so chains by the wall at 0 step below
+    # x = -1, where the unchecked psi(x + 1) throws them far down and then
+    # gives NaN; each such pass ends, fails the proof and reruns folded
+    cfg = SimConfig(potential=Poisson(0.5),
+                    grid=build_grid("continuous", 0, 6, 25), dt=0.1,
+                    n_steps=300, burn_in=0, n_chains=3, seed=1)
+    monkeypatch.setattr(SIM_MODULE, "REACH", -np.inf)
+    values, n_used, tv, positions = _reference_simulate(cfg)
+    scaled, lowest = Poisson.scaled_intensity, []
+
+    def recording(self, x, scale, out):
+        lowest.append(np.min(x))
+        return scaled(self, x, scale, out)
+
+    kept, histogram = [], np.histogram
+
+    def recording_histogram(a, *args, **kwargs):
+        kept.append(np.array(a))
+        return histogram(a, *args, **kwargs)
+
+    monkeypatch.setattr(Poisson, "scaled_intensity", recording)
+    monkeypatch.setattr(np, "histogram", recording_histogram)
+    r = simulate(cfg)
+    assert np.nanmin(lowest) < -10.0 and np.isnan(lowest).any()
+    assert np.array_equal(np.concatenate(kept).T, positions)
+    assert np.array_equal(r.histogram.values, values)
+    assert r.n_samples_used == n_used
     assert r.tv_distance == tv
 
 

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 import scipy.special
 
-from equilib import Gamma, Poisson, SupportError, digamma, gammaln
+from equilib import Gamma, Poisson, SupportError, digamma, gammaln, special
 from equilib.catalog import (_EXACT_TAIL_MAX, DEFAULT_POINTS, TAIL_MASS,
-                             _gamma_tail, _poisson_tail, _tail_negligible)
+                             _chernoff_negligible, _gamma_tail,
+                             _tail_negligible)
 
 EULER_GAMMA = 0.5772156649015329
 
@@ -81,9 +82,46 @@ def test_gammaln_rejects_outside_support(x):
         gammaln(x)
 
 
+def _ufunc_calls(f, x, monkeypatch):
+    """The ufunc calls, in order, that f(x) makes on x and what it derives
+    from x, past the support check."""
+    calls = []
+
+    class Counted(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            calls.append((ufunc.__name__, method))
+            plain = [np.asarray(a) for a in inputs]
+            out = kwargs.get("out")
+            if out is not None:
+                kwargs["out"] = tuple(np.asarray(o) for o in out)
+            result = getattr(ufunc, method)(*plain, **kwargs)
+            return out[0] if out is not None else \
+                np.asarray(result).view(Counted)
+
+    positive = special._positive
+    with monkeypatch.context() as m:
+        m.setattr(special, "_positive",
+                  lambda x, message: (positive(x, message), x)[1])
+        f(np.asarray(x, dtype=float).view(Counted))
+    return calls
+
+
+@pytest.mark.parametrize("f", [digamma, gammaln])
+def test_cost_does_not_depend_on_the_input(f, monkeypatch):
+    # one fixed shift: the same ufunc calls for points below the shift,
+    # above it, across it and across the float range
+    inputs = [np.full(64, 1e-3), np.full(64, 50.0),
+              np.linspace(1e-3, 30.0, 64), np.geomspace(1e-300, 1e300, 64),
+              np.arange(1.0, 65.0)]
+    calls = [_ufunc_calls(f, x, monkeypatch) for x in inputs]
+    assert len(calls[0]) > special._SHIFT
+    assert all(c == calls[0] for c in calls)
+
+
 # ---------------------------------------------------------------------------
-# the default grids' exact tails, over the domain that reaches them: v at
-# most _EXACT_TAIL_MAX and the tail at least 15 past the mean
+# the default grids' tail tests: the Poisson Chernoff bound at any n, and
+# the Gamma exact tail over the domain that reaches it, a at most
+# _EXACT_TAIL_MAX and the tail at least 15 past the mean
 
 
 def _assert_relative(got, ref):
@@ -93,16 +131,25 @@ def _assert_relative(got, ref):
         assert got <= 1e-280, (got, ref)
 
 
+def _assert_chernoff_decision(n, lam, ref):
+    """A tail that the Chernoff test calls negligible is so, and the bound
+    it tests is one: it is at least the tail."""
+    bound = math.exp(-(n * math.log1p((n - lam) / lam) - (n - lam)))
+    assert ref <= bound * (1.0 + 1e-9), (n, lam, ref, bound)
+    if _chernoff_negligible(n, lam):
+        assert ref <= TAIL_MASS, (n, lam, ref)
+
+
 def test_poisson_tail_against_library_oracle():
-    lams = np.concatenate([np.geomspace(1e-9, _EXACT_TAIL_MAX, 300),
+    lams = np.concatenate([np.geomspace(1e-9, 1e15, 300),
                            np.linspace(5.5, 8.2, 28)])
     for lam in map(float, lams):
         first = max(31, math.ceil(lam + 10.0 * math.sqrt(lam)) + 1)
         for n in {31, 61, 121, first, 2 * first}:
-            if n >= lam + 15.0:
+            if n > lam:
                 # P(X >= n) = P(X > n - 1)
-                _assert_relative(_poisson_tail(n, lam),
-                                 scipy.special.pdtrc(n - 1, lam))
+                _assert_chernoff_decision(
+                    n, lam, scipy.special.pdtrc(n - 1, lam))
 
 
 @pytest.mark.parametrize("a", np.geomspace(1e-3, 1e6, 28))
@@ -116,8 +163,7 @@ def test_incomplete_gamma_against_library_oracle(a):
         ref = scipy.special.gammaincc(a, x)
         if a <= _EXACT_TAIL_MAX:
             _assert_relative(_gamma_tail(a, x), ref)
-        negligible = _tail_negligible(x - a, a, 1.0,
-                                      lambda: _gamma_tail(a, x))
+        negligible = _tail_negligible(a, x)
         if negligible:
             assert ref <= TAIL_MASS * (1.0 + 1e-12), (x, ref)
         elif a <= _EXACT_TAIL_MAX:
@@ -126,21 +172,17 @@ def test_incomplete_gamma_against_library_oracle(a):
 
 @pytest.mark.parametrize("lam", [0.1, 3.0, 50.0, 1e3, 1e6])
 def test_poisson_tail_is_lower_incomplete_gamma(lam):
-    # P(X >= n) = P(n, lam), at n from 15 past the mean to twice the grid's
-    # first upper, with the tail test judged as for the Gamma tail
+    # P(X >= n) = P(n, lam), at n from just past the mean to twice the
+    # grid's first upper, with the tail test judged against it
     first = max(30, math.ceil(lam + 10.0 * math.sqrt(lam)))
-    ns = np.unique(np.round(np.linspace(math.ceil(lam + 15.0),
-                                        2 * first + 1, 400)))
+    ns = np.unique(np.round(np.linspace(math.floor(lam) + 1, 2 * first + 1,
+                                        400)))
+    decided = 0
     for n in map(int, ns):
         ref = scipy.special.gammainc(n, lam)
-        if lam <= _EXACT_TAIL_MAX:
-            _assert_relative(_poisson_tail(n, lam), ref)
-        negligible = _tail_negligible(n - lam, lam, 1.0 / 3.0,
-                                      lambda: _poisson_tail(n, lam))
-        if negligible:
-            assert ref <= TAIL_MASS * (1.0 + 1e-12), (n, ref)
-        elif lam <= _EXACT_TAIL_MAX:
-            assert ref > TAIL_MASS * (1.0 - 1e-12), (n, ref)
+        _assert_chernoff_decision(n, lam, ref)
+        decided += _chernoff_negligible(n, lam)
+    assert 0 < decided < len(ns)
 
 
 def test_gamma_tail_against_library_oracle():
