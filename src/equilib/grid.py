@@ -39,7 +39,8 @@ class Grid:
     The points must be distinct finite floats, judged from the bounds
     alone: a lattice lies within +-2**53, and a continuous spacing is
     finite, normal and above 4 * 2**-52 * max(|lower|, |upper|), more than
-    rounding can move two neighbouring points ``lower + i * spacing`` by.
+    rounding can move neighbours by.  The bound is sufficient, not exact: it
+    rejects 3 points from 1e16 to 1e16 + 4 (one ulp apart, yet distinct).
     """
 
     kind: str
@@ -55,9 +56,8 @@ class Grid:
         object.__setattr__(self, "lower", float(self.lower))
         object.__setattr__(self, "upper", float(self.upper))
         if not self.lower < self.upper:
-            raise GridError(
-                f"reversed or empty bounds: lower={self.lower}, upper={self.upper}"
-            )
+            raise GridError(f"reversed or empty bounds: lower={self.lower}, "
+                            f"upper={self.upper}")
         require_integer(self.n_points, "n_points", GridError, 3)
         big = max(abs(self.lower), abs(self.upper))
         if self.kind == LATTICE:
@@ -65,17 +65,17 @@ class Grid:
                 raise GridError("lattice bounds must be integers")
             expected = int(self.upper) - int(self.lower) + 1
             if self.n_points != expected:
-                raise GridError(
-                    f"lattice from {self.lower} to {self.upper} has {expected} "
-                    f"points, got n_points={self.n_points}"
-                )
+                raise GridError(f"lattice from {self.lower} to {self.upper} "
+                                f"has {expected} points, got "
+                                f"n_points={self.n_points}")
             if big > 2.0 ** 53:
                 raise GridError("lattice bounds beyond 2**53 are not exact "
                                 "floats")
         elif not (max(4.0 * 2.0 ** -52 * big, sys.float_info.min)
                   < self.spacing < math.inf):
             raise GridError(f"{self.n_points} points from {self.lower!r} to "
-                            f"{self.upper!r} are not distinct finite floats")
+                            f"{self.upper!r} are not distinct finite floats "
+                            "by 4 * 2**-52 * max(|lower|, |upper|)")
 
     @property
     def spacing(self) -> float:

@@ -144,7 +144,7 @@ def simulate(config: SimConfig) -> SimResult:
                         advance(x, y)
                         add(y, row, y)
                         x = add(y, lower, row)
-                lo, hi = rows.min(), rows.max()  # the proof reads every row
+                    lo, hi = rows.min(), rows.max()  # the proof reads all rows
                 if _fold_free(lo, hi, grid.lower, period):
                     continue
                 np.copyto(rows, saved)
