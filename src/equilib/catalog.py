@@ -30,6 +30,7 @@ grid)`` is its density on either grid kind.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import MISSING, dataclass, fields
 
 import numpy as np
@@ -193,10 +194,12 @@ class Normal(_Family):
     sigma: float = 1.0
 
     def _constants(self):
-        # sigma**2 is a divisor and a log argument below
-        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < math.inf):
+        # sigma**2 is a log argument and a divisor below: normal, so that
+        # 1 / sigma**2 is finite
+        if not (self.sigma > 0 and sys.float_info.min <= self.sigma
+                * self.sigma < math.inf):
             raise SupportError("sigma must be positive and sigma**2 finite "
-                               "and nonzero")
+                               "and normal")
         return self.mu, -self.sigma ** 2
 
     @classmethod

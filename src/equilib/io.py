@@ -9,10 +9,16 @@ finite x; anything else is a FormatError.  A grid built from an x column
 (``grid_from_x``) also needs x strictly increasing; a samples file may
 come in any order.
 
-Tables stream in row slices: ``write_table`` formats _SLICE_ROWS rows
-with each '%' and ``read_table`` hands the open file's lines to
-``np.loadtxt``, which parses them one by one, so neither holds the whole
-text and memory is O(slice + columns).
+Tables stream in row slices, so memory is O(slice + columns):
+``read_table`` hands the open file's lines to ``np.loadtxt``, and
+``write_table`` writes _SLICE_ROWS rows at a time in the bytes of '%.17g'
+(and '%d' for a mask's 0 and 1), by NumPy arithmetic on fixed byte slots
+per cell whose blanks it drops.  Each finite nonzero v is written from
+N = round(|v| 10**(16 - X)) at its decimal exponent X: Dekker's exact
+product of v's mantissa and a double-double 2**e 10**(16 - X), built from
+integers once per binary exponent e, gives |v| 10**(16 - X) within 1e-13,
+so rint rounds it as '%.17g' does unless its fraction is within 1e-9 of a
+half, and '%.17g' itself writes those rare cells.
 
 Specs are UTF-8 JSON documents tagged by a "kind", which a nested spec may
 omit; unknown fields are rejected, and each field is checked by the object
@@ -22,6 +28,7 @@ it builds, so a JSON null is a bad value, not the default.
 from __future__ import annotations
 
 import json
+import math
 import re
 from contextlib import contextmanager
 from itertools import chain
@@ -41,9 +48,8 @@ TABLE_COLUMNS = ("x", "f", "U", "U_tilde", "E_s", "E_c", "residual", "mask")
 # CSV tables
 
 
-# rows formatted by one '%': ~16k cells at four columns, a working set
-# bounded like simulate.BLOCK_ELEMENTS
-_SLICE_ROWS = 4096
+# rows formatted at once: ~4k cells, whose temporaries total ~1 MB
+_SLICE_ROWS = 1024
 
 
 def write_table(path, columns: dict):
@@ -56,15 +62,127 @@ def write_table(path, columns: dict):
     if not arrays or any(a.ndim != 1 or a.size != arrays[0].size
                          for a in arrays):
         raise FormatError("table columns must be 1-D and of equal length")
-    kinds = [int if n == "mask" else float for n in names]
-    row = ",".join("%d" if n == "mask" else "%.17g" for n in names) + "\n"
-    with open(path, "w", newline="\n") as fh:
-        fh.write(",".join(names) + "\n")
+    with open(path, "wb") as fh:
+        fh.write((",".join(names) + "\n").encode())
         for start in range(0, arrays[0].size, _SLICE_ROWS):
-            cols = [a[start:start + _SLICE_ROWS].astype(kind).tolist()
-                    for a, kind in zip(arrays, kinds)]
-            fh.write((row * len(cols[0]))
-                     % tuple(chain.from_iterable(zip(*cols))))
+            block = np.array([a[start:start + _SLICE_ROWS] for a in arrays],
+                             dtype=float)
+            cells = _cells(block.T.reshape(-1))
+            # a row's last cell ends in "\n", not ","
+            cells[5, len(block) - 1::len(block)] -= np.uint64(34 << 40)
+            fh.write(cells.T.tobytes().translate(None, b"\0"))
+
+
+_EMIN, _XMIN = -1073, -324  # the binary and decimal exponents of 5e-324
+_TABLES = None  # the _Tables, built on first use
+
+
+def _split(x):  # Veltkamp's split of doubles into halves of 26 bits
+    t = x * 134217729.0
+    high = t - (t - x)
+    return high, x - high
+
+
+class _Tables:
+    """Scales per binary exponent, built as they are met, and layouts."""
+
+    def __init__(self):
+        # per binary exponent e - _EMIN: C as a double-double and X - _XMIN
+        # at X = E0 and at E0 + 1, and the least double that rounds to
+        # 10**(E0 + 1) or more at 17 digits (NaN until e is met)
+        self.scale = np.zeros((3, 2 * 2098))
+        self.bound = np.full(2098, np.nan)
+        # per X - _XMIN: the digits before the point, kept though zeros;
+        # the cell but its sign and digits, + 633 with a point, then 0, nan
+        # and inf at 1266 on
+        xs = np.arange(_XMIN, 309)
+        self.ints = np.where((xs >= 0) & (xs <= 16), xs + 1, 1).astype(np.int8)
+        rows = [(b"\0" + b"0." + b"0" * -(x + 1) if -4 <= x < 0 else b"")
+                .ljust(40, b"\0") + (b"" if -4 <= x <= 16 else b"e%+03d" % x)
+                .ljust(5, b"\0") + b",\0\0" for x in xs.tolist()]
+        rows += [b"\0" + text.ljust(44, b"\0") + b",\0\0"
+                 for text in (b"0", b"nan", b"inf")]
+        layout = np.frombuffer(b"".join(rows), np.uint8).reshape(-1, 48)
+        layout = np.insert(layout, len(xs), layout[:len(xs)], axis=0)
+        dots = np.flatnonzero((xs < -4) | (xs >= 0))  # slot of digit j: 7 + 2j
+        layout[len(xs) + dots, 5 + 2 * self.ints[dots]] = ord(".")
+        self.layout = layout.view("<u8").T.copy()
+        # N as five groups of four digits, the first "000" and its first
+        # digit: 1 + the index of 17 of the k-th group's last nonzero digit,
+        # or 0, at 10_000 k + group; its digits as digit and slot bytes;
+        # and the mask of the k-th group's bytes kept, by digits kept of 17
+        self.groups = 10 ** np.arange(16, -1, -4)[:, None]
+        self.offsets = np.arange(0, 50_000, 10_000)[:, None]
+        g = np.arange(10_000, dtype=np.int16)
+        zeros = sum((g % 10 ** j == 0 for j in (1, 2, 3)), np.int8(0))
+        self.last = ((4 * np.arange(5, dtype=np.int8)[:, None] + 1 - zeros)
+                     * (g > 0)).ravel()
+        self.digits = (g[:, None] // np.array([1000, 100, 10, 1], np.int16)
+                       % 10 + ord("0")).astype("<u2").view("<u8").ravel()
+        index = (4 * np.arange(5)[:, None] - 3 + np.arange(4))[:, None]
+        kept = (index >= 0) & (index < np.arange(18)[:, None])
+        self.kept = (kept << np.arange(0, 64, 16)).sum(2, dtype="<u8") * 255
+
+    def add_scales(self, exponents):
+        for e in exponents:
+            e0 = math.floor((e - 1) * math.log10(2))  # 10**e0 <= 2**(e - 1)
+            for row, k in enumerate((16 - e0, 15 - e0), 2 * (e - _EMIN)):
+                num = 2 ** max(e, 0) * 10 ** max(k, 0)
+                den = 2 ** max(-e, 0) * 10 ** max(-k, 0)
+                p, q = (hi := num / den).as_integer_ratio()  # rounds right
+                self.scale[:, row] = (hi, (num * q - p * den) / (den * q),
+                                      e0 + row % 2 - _XMIN)
+            num = (2 * 10 ** 17 - 1) * 10 ** max(e0 - 16, 0)  # / den:
+            den = 2 * 10 ** max(16 - e0, 0)  # (1e17 - 1/2) 10**(e0 - 16)
+            p, q = (bound := num / den).as_integer_ratio()
+            self.bound[e - _EMIN] = (math.nextafter(bound, math.inf)
+                                     if p * den < num * q else bound)
+
+
+def _digits(t, a):
+    """N, X - _XMIN and the near-ties of the finite positive floats a."""
+    m, e = np.frexp(a)
+    e -= _EMIN
+    if math.isnan((bound := t.bound.take(e)).max()):
+        t.add_scales(set((e[np.isnan(bound)] + _EMIN).tolist()))
+        bound = t.bound.take(e)
+    hi, lo, x = t.scale.take(2 * e + (a >= bound), axis=1)
+    (mh, ml), (hh, hl) = _split(m), _split(hi)
+    p = m * hi  # Dekker: m * hi = p + the sum of the next four products
+    lo = ((mh * hh - p) + mh * hl + ml * hh) + ml * hl + m * lo
+    n = p.astype(np.int64)
+    n += (r := np.rint(lo)).astype(np.int64)
+    lo -= r
+    return n, x.astype(np.int16), np.flatnonzero(
+        np.abs(lo, out=lo) > 0.5 - 1e-9)
+
+
+def _cells(v):
+    """The '%.17g' text of each float in v, as (6, v.size) cell words."""
+    global _TABLES
+    t = _TABLES = _TABLES or _Tables()
+    a = np.abs(v)
+    odd = ~((a > 0) & (a < math.inf))  # 0, nan and inf have rows of their own
+    if special := odd.any():
+        np.copyto(a, 1.0, where=odd)
+    n, x, ties = _digits(t, a)
+    quads = n // t.groups % 10_000
+    # digits kept: through the last nonzero one and the integer part
+    keep = t.last.take(quads + t.offsets).max(axis=0)
+    np.maximum(keep, t.ints.take(x), out=keep)
+    x += (keep > t.ints.take(x)) * np.int16(t.ints.size)
+    if special:
+        x[odd] = 2 * t.ints.size + np.isnan(v[odd]) + 2 * np.isinf(v[odd])
+        keep[odd] = 0
+    out = t.layout.take(x, axis=1)
+    quads = t.digits.take(quads)
+    quads &= t.kept.take(keep, axis=1)
+    out[:5] += quads
+    out[0] += (np.signbit(v) & ~np.isnan(v)) * np.uint64(ord("-"))
+    for j in ties:  # '%.17g' itself settles the near-ties
+        out[:, j] = np.frombuffer((b"%.17g" % v[j]).ljust(45, b"\0")
+                                  + b",\0\0", "<u8")
+    return out
 
 
 @contextmanager

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -240,6 +241,14 @@ def test_unbounded_support_takes_negative_x(fam):
     want = ORACLE_INTENSITY[type(fam)](fam, x)
     assert np.array_equal(fam.intensity(x).view(np.uint64),
                           want.view(np.uint64))
+
+
+def test_normal_needs_a_normal_sigma_squared():
+    # a subnormal sigma**2 overflows 1 / sigma**2
+    for sigma in (1e-160, 1.4e-154):
+        with pytest.raises(SupportError, match="sigma"):
+            Normal(sigma=sigma)
+    assert Normal(sigma=1.5e-154).sigma ** 2 >= sys.float_info.min
 
 
 def test_gamma_rejects_bad_shape():

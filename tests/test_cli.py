@@ -71,6 +71,20 @@ def _one_line_error(capsys):
     return err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("mu", ["0", "1.5"])
+def test_catalog_normal_subnormal_sigma_squared_exits_2(tmp_path, capsys,
+                                                         mu):
+    # sigma**2 = 1e-320 is subnormal and 1 / sigma**2 overflows: this run
+    # wrote f = 0, U_tilde = inf and E_c = -inf (inf, inf below mu) and
+    # exited 0
+    out = tmp_path / "n.csv"
+    assert run("catalog", "--family", "normal", "--sigma", "1e-160", "--mu",
+               mu, "--lower", 1, "--upper", 2, "--points", 5,
+               "--out", out) == 2
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("family, params, grid", [
     ("normal", ["--mu", "nan"], ["--lower", 0.5, "--upper", 3]),
     ("exponential", ["--a", "inf"], ["--lower", 0.5, "--upper", 3]),
@@ -152,13 +166,16 @@ def test_catalog_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
+    # nor fractions or decimal, and it builds none of the table writer's
+    # constants: they are built on the first write
     src = Path(equilib.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, equilib.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] == 'scipy'))")
+            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')), "
+            "equilib.io._TABLES)")
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
-    assert done.stdout.strip() == "[]"
+    assert done.stdout.strip() == "[] None"
 
 
 FAMILY_PARAMS = {

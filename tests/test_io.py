@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -109,6 +110,121 @@ def test_table_memory_does_not_grow_with_rows(tmp_path, monkeypatch):
     # np.loadtxt grows its result a quarter at a time, so up to a quarter
     # of the result may be spare while it parses
     assert read4 < 1.1 * read + result4 / 4
+
+
+# ---------------------------------------------------------------------------
+# The writer against Python's own '%.17g' and '%d'
+
+
+def _percent_bytes(columns):
+    """The table as '%.17g' (and '%d' for the mask) write it, cell by cell."""
+    names = list(columns)
+    cols = [np.asarray(columns[n]).astype(int if n == "mask" else float)
+            .tolist() for n in names]
+    row = ",".join("%d" if n == "mask" else "%.17g" for n in names) + "\n"
+    return (",".join(names) + "\n"
+            + "".join(row % cells for cells in zip(*cols))).encode()
+
+
+def _assert_writes_percent(path, columns):
+    io.write_table(path, columns)
+    assert path.read_bytes() == _percent_bytes(columns)
+
+
+def _floats(*values):
+    values = np.array(values, dtype=float)
+    return np.concatenate([values, -values])
+
+
+def test_writer_matches_percent_on_random_bit_patterns(tmp_path):
+    bits = np.random.default_rng(2002).integers(
+        0, 2 ** 64, 1_000_000, dtype=np.uint64, endpoint=False)
+    values = np.concatenate([bits.view(np.float64),
+                             _floats(np.inf, np.nan, 0.0)])
+    assert np.isnan(values).sum() > 100
+    half = values.size // 2
+    _assert_writes_percent(tmp_path / "t.csv", {
+        "f": values[:half], "U": values[half:],
+        "mask": np.isnan(values[:half])})
+
+
+@given(data=arrays(np.float64, st.integers(1, 300), elements=st.floats()))
+@settings(max_examples=100, deadline=None)
+def test_writer_matches_percent_on_any_floats(tmp_path_factory, data):
+    _assert_writes_percent(tmp_path_factory.mktemp("p") / "t.csv",
+                           {"f": data, "mask": np.isfinite(data)})
+
+
+def test_writer_matches_percent_on_special_values(tmp_path):
+    _assert_writes_percent(tmp_path / "t.csv", {"f": _floats(
+        0.0, np.inf, np.nan, 5e-324, 2.2250738585072009e-308,
+        2.2250738585072014e-308, 1.7976931348623157e308)})
+
+
+def test_writer_matches_percent_on_powers_of_ten(tmp_path):
+    tens = np.array([float(f"1e{k}") for k in range(-320, 309)])
+    _assert_writes_percent(tmp_path / "t.csv", {"f": _floats(
+        *tens, *np.nextafter(tens, 0.0), *np.nextafter(tens, np.inf))})
+
+
+def _around(*values, ulps=3):
+    """Each value and its neighbours up to ulps away."""
+    out = []
+    for value in values:
+        below = above = value
+        out.append(value)
+        for _ in range(ulps):
+            below, above = np.nextafter(below, 0.0), np.nextafter(above,
+                                                                  np.inf)
+            out += [below, above]
+    return _floats(*out)
+
+
+def test_writer_matches_percent_at_the_g_switches(tmp_path):
+    # '%g' writes X in [-4, 16] in fixed notation and the rest with an
+    # exponent, X counted after rounding to 17 digits
+    _assert_writes_percent(tmp_path / "t.csv", {"f": _around(
+        1e-4, 1e-5, 9.99999999999999912e-05, 9.99999999999999912e-06,
+        1e16, 1e17, 9999999999999998.0, 99999999999999984.0,
+        0.000123456789012345678, 0.0000123456789012345678,
+        1234567890123456.7, 12345678901234567.0, 123456789012345678.0)})
+
+
+def test_writer_matches_percent_where_digits_round_up(tmp_path):
+    # doubles below a power of ten that round up to it at 17 digits
+    near = [v for k in range(-323, 309)
+            for v in (float(f"1e{k}"), np.nextafter(float(f"1e{k}"), 0.0))
+            if Fraction(v) < Fraction(10) ** k
+            and Fraction("%.17g" % v) == Fraction(10) ** k]
+    assert len(near) >= 10
+    _assert_writes_percent(tmp_path / "t.csv", {"f": _floats(*near)})
+
+
+def _is_tie(value):
+    """True where value lies halfway between two 17-digit decimals."""
+    x = int(("%.16e" % value).split("e")[1])
+    return (Fraction(value) * Fraction(10) ** (16 - x)).denominator == 2
+
+
+def test_writer_rounds_dyadic_ties_half_to_even(tmp_path, monkeypatch):
+    # 18-digit dyadic values such as 131073 / 131072 = 1.00000762939453125
+    # sit on a tie of '%.17g': each product is flagged as within 1e-9 of a
+    # half, and '%.17g' itself writes the flagged cells, whatever digits
+    # the product gave
+    ties = [(2 ** 17 + k) / 2 ** 17 * 10.0 ** s for k in range(1, 40, 2)
+            for s in (0, 1, 5)]
+    assert 131073 / 131072 in ties and all(map(_is_tie, ties))
+    values = np.array(ties)
+    assert set(io._digits(io._Tables(), values)[2]) == set(range(len(ties)))
+    digits = io._digits
+
+    def spoiled(t, a):
+        n, x, flagged = digits(t, a)
+        n[flagged] += 1
+        return n, x, flagged
+
+    monkeypatch.setattr(io, "_digits", spoiled)
+    _assert_writes_percent(tmp_path / "t.csv", {"f": _floats(*ties)})
 
 
 def test_read_table_accepts_crlf(tmp_path):
