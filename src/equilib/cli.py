@@ -88,12 +88,11 @@ def cmd_catalog(args) -> int:
     if grid is None:
         grid = family.default_grid()
     x = grid.points
-    io.write_table(args.out, {
-        "x": x,
-        "f": family.density(x),
-        "U_tilde": family.normalized_potential(x),
-        "E_c": family.intensity(x),
-    })
+    with np.errstate(over="ignore"):  # +-inf far out on a narrow family
+        columns = {"x": x, "f": family.density(x),
+                   "U_tilde": family.normalized_potential(x),
+                   "E_c": family.intensity(x)}
+    io.write_table(args.out, columns)
     return EXIT_OK
 
 
@@ -172,8 +171,6 @@ def _read_samples(path) -> np.ndarray:
 def cmd_maxent(args) -> int:
     u = _potential_from_arg(args.u)
     grid = _grid_from_args(args)
-    if grid is None:
-        raise io.FormatError("maxent needs explicit grid args")
     if args.samples is not None:
         samples = np.sort(_read_samples(args.samples))
         target = sample_u_moment(samples, u)
@@ -225,8 +222,6 @@ def cmd_simulate(args) -> int:
 def cmd_decompose(args) -> int:
     samples = _read_samples(args.samples)
     grid = _grid_from_args(args)
-    if grid is None:
-        raise io.FormatError("decompose needs explicit grid args")
     report = decompose_samples(samples, grid, estimator=args.estimator,
                                bins=args.bins, bandwidth=args.bandwidth)
     slope, intercept = fit_linear_intensity(report)
@@ -307,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--samples")
     p.add_argument("--tol", type=float, default=1e-10)
     p.add_argument("--max-iter", type=int, default=100)
-    _add_grid_args(p)
+    _add_grid_args(p, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--table")
     p.set_defaults(func=cmd_maxent)
@@ -326,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
                    default="kernel")
     p.add_argument("--bins", type=int)
     p.add_argument("--bandwidth", type=float)
-    _add_grid_args(p)
+    _add_grid_args(p, required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--report")
     p.set_defaults(func=cmd_decompose)

@@ -1,11 +1,11 @@
 """Interpretive quantities and empirical decomposition.
 
-Shannon entropy is computed both directly and as the mean normalized
-potential (the two are the same sum rearranged, and are cross-checked);
-the Fisher information number of the exponential-form family
-k(lambda) e^(-lambda u) is the variance of u; ``decompose_samples`` splits
-empirical data into a density estimate, its normalized potential and its
-stochastic intensity, revealing the causal intensity up to sign.
+Shannon entropy is the direct sum -sum w f ln f, which for U_tilde = -ln f
+is also the mean normalized potential sum w f U_tilde; the Fisher
+information number of the exponential-form family k(lambda) e^(-lambda u)
+is the variance of u; ``decompose_samples`` splits empirical data into a
+density estimate, its normalized potential and its stochastic intensity,
+revealing the causal intensity up to sign.
 
 The kernel estimator is a Gaussian kernel density estimate, linear-binned
 onto the grid and FFT-convolved with the sampled kernel (Silverman, Appl.
@@ -31,7 +31,6 @@ from .potential import (EquilibriumDensity, IntensityTable,
                         eval_potential, potential_of_density,
                         stochastic_intensity)
 
-ENTROPY_IDENTITY_TOL = 1e-9
 MIN_SAMPLES = 100
 KERNEL_REACH = 8.0  # bandwidths; a sample farther off adds under e^-32
 
@@ -39,25 +38,15 @@ KERNEL_REACH = 8.0  # bandwidths; a sample farther off adds under e^-32
 def shannon_entropy(f: EquilibriumDensity) -> float:
     """-sum f ln f; continuous grids give differential entropy.
 
-    Cross-checked against the mean normalized potential sum f * U_tilde;
-    points below the density floor contribute zero (x ln x -> 0 limit).
+    Points below the density floor contribute zero (the x ln x -> 0 limit),
+    as they are masked in ``potential_of_density``, so this equals the mean
+    normalized potential, the quadrature of f * U_tilde.
     """
     floor = density_floor(f.values)
     ok = f.values > floor
     plogp = np.zeros(f.grid.n_points)
     plogp[ok] = f.values[ok] * np.log(f.values[ok])
-    direct = -f.grid.quadrature(plogp)
-
-    upot = potential_of_density(f)
-    fu = np.zeros(f.grid.n_points)
-    live = ~upot.mask
-    fu[live] = f.values[live] * upot.values[live]
-    mean_potential = f.grid.quadrature(fu)
-    if abs(direct - mean_potential) > ENTROPY_IDENTITY_TOL:
-        raise AssertionError(
-            f"entropy identity violated: {direct} vs {mean_potential}"
-        )
-    return direct
+    return -f.grid.quadrature(plogp)
 
 
 def fisher_information_number(u, lam: float, grid: Grid) -> float:
@@ -86,7 +75,8 @@ class DecompositionReport:
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
     n = samples.size
-    std = float(np.std(samples))
+    with np.errstate(over="ignore"):  # a far outlier's inf loses to the IQR
+        std = float(np.std(samples))
     q75, q25 = np.percentile(samples, [75, 25])
     iqr = float(q75 - q25)
     scale = min(std, iqr / 1.34) if iqr > 0 else std
@@ -124,15 +114,15 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     pad = int(np.ceil(min(KERNEL_REACH * bandwidth,
                           grid.upper - grid.lower + outside) / h))
     size = n + 2 * pad
-    t = (kept - grid.lower) / h + pad
+    # infs are exact: kernel weight 0 for bandwidth << h; t dropped below
+    with np.errstate(over="ignore"):
+        kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * h / bandwidth) ** 2)
+        t = (kept - grid.lower) / h + pad
     t = t[(t >= 0) & (t <= size - 1)]
     j = np.minimum(t.astype(np.intp), size - 2)
     w = t - j
     counts = (np.bincount(j, weights=1.0 - w, minlength=size)
               + np.bincount(j + 1, weights=w, minlength=size))
-    # for bandwidth << h the off-centre arguments overflow to inf: weight 0
-    with np.errstate(over="ignore"):
-        kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * h / bandwidth) ** 2)
     nfft = 1 << (size + 2 * pad - 1).bit_length()  # no wrap: >= size + 2 pad
     conv = np.fft.irfft(np.fft.rfft(counts, nfft) * np.fft.rfft(kernel, nfft),
                         nfft)[2 * pad:2 * pad + n]

@@ -15,8 +15,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import (FormatError, MomentRangeError, SampleError,
-                     require_integer, require_real)
+from .errors import (FormatError, MomentRangeError, PotentialError,
+                     SampleError, require_integer, require_real)
 from .grid import Grid
 from .potential import (EquilibriumDensity, NormalizedPotentialTable,
                         TabulatedPotential, eval_potential, normalize,
@@ -80,6 +80,8 @@ def _moment_and_var(lam: float, uvals: np.ndarray, grid: Grid):
 def solve_maxent(p: MaxEntProblem) -> MaxEntSolution:
     uvals = eval_potential(p.u, p.grid)
     umin, umax = float(np.min(uvals)), float(np.max(uvals))
+    if not np.isfinite(umax - umin):
+        raise PotentialError("u spans more than the float range on this grid")
     margin = RANGE_MARGIN * max(umax - umin, 1.0)
     if not (umin + margin < p.target_moment < umax - margin):
         raise MomentRangeError(

@@ -233,19 +233,21 @@ def eval_potential(U, grid: Grid) -> np.ndarray:
 
 
 def _log_partition(U, grid: Grid):
-    """U on the grid, its minimum m, e^-(U - m) and its quadrature Omega e^m.
+    """U - m for m = min U on the grid, m, e^-(U - m) and its sum Omega e^m.
 
     The shift by m (the density is invariant to it) keeps the sum finite.
     """
     vals = eval_potential(U, grid)
     vmin = float(np.min(vals))
-    expv = np.exp(-(vals - vmin))
+    with np.errstate(over="ignore"):  # inf, correctly rounded; e^-inf = 0
+        shifted = vals - vmin
+    expv = np.exp(-shifted)
     omega_shifted = grid.quadrature(expv)
     if not (omega_shifted > 0.0 and np.isfinite(omega_shifted)):
         raise NonNormalizableError(
             "statistical sum vanished or overflowed on this grid"
         )
-    return vals, vmin, expv, omega_shifted
+    return shifted, vmin, expv, omega_shifted
 
 
 def normalize(U, grid: Grid) -> EquilibriumDensity:
@@ -257,9 +259,9 @@ def normalize(U, grid: Grid) -> EquilibriumDensity:
 
 def normalized_potential(U, grid: Grid) -> NormalizedPotentialTable:
     """U - ln k, with k the normalizing constant of e^(-U) on the grid."""
-    vals, vmin, _, omega_shifted = _log_partition(U, grid)
+    shifted, _, _, omega_shifted = _log_partition(U, grid)
     return NormalizedPotentialTable(
-        grid=grid, values=(vals - vmin) + np.log(omega_shifted)
+        grid=grid, values=shifted + np.log(omega_shifted)
     )
 
 
@@ -281,11 +283,11 @@ def stochastic_intensity(f: EquilibriumDensity) -> IntensityTable:
 def causal_intensity(U, grid: Grid) -> IntensityTable:
     """-dU/dx: closed form when the potential provides one, else the grid's
     difference rule; masked where it is not finite, with no float warning."""
-    if hasattr(U, "intensity"):
-        with np.errstate(all="ignore"):
+    with np.errstate(all="ignore"):
+        if hasattr(U, "intensity"):
             vals = np.asarray(U.intensity(grid.points), dtype=float)
-    else:
-        vals = -grid.derivative(eval_potential(U, grid))
+        else:
+            vals = -grid.derivative(eval_potential(U, grid))
     return IntensityTable(grid=grid, kind="causal",
                           values=np.where(np.isfinite(vals), vals, np.nan))
 

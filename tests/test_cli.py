@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import equilib
-from equilib import Grid, Normal, cli, io
+from equilib import Grid, Normal, cli, decompose_samples, io
 from equilib.catalog import FAMILIES, make_family
 
 
@@ -83,6 +83,22 @@ def test_catalog_normal_subnormal_sigma_squared_exits_2(tmp_path, capsys,
                "--out", out) == 2
     assert _one_line_error(capsys)
     assert not out.exists()
+
+
+def test_catalog_normal_far_tail_is_quiet(tmp_path, capsys):
+    # sigma**2 is normal but (x - mu)**2 / sigma**2 is not: U_tilde and E_c
+    # are +-inf past the first row, which this run wrote after two overflow
+    # warnings
+    out = tmp_path / "n.csv"
+    assert run("catalog", "--family", "normal", "--sigma", "1e-150",
+               "--lower", 1, "--upper", "1e160", "--points", 5,
+               "--out", out) == 0
+    assert capsys.readouterr().err == ""
+    table = io.read_table(out)
+    assert table["f"].tolist() == [0.0] * 5
+    assert np.isfinite(table["U_tilde"][0]) and np.isfinite(table["E_c"][0])
+    assert table["U_tilde"][1:].tolist() == [np.inf] * 4
+    assert table["E_c"][1:].tolist() == [-np.inf] * 4
 
 
 @pytest.mark.parametrize("family, params, grid", [
@@ -303,6 +319,23 @@ def test_transform_tabulated_potential_csv(tmp_path):
     assert g.quadrature(table["f"]) == pytest.approx(1.0, abs=1e-12)
 
 
+@pytest.mark.parametrize("to", ["density", "potential", "intensity"])
+def test_transform_tabulated_spec_takes_the_table_grid(tmp_path, to):
+    # without grid args a tabulated JSON spec is its table, grid included
+    table = tmp_path / "u.csv"
+    x = np.linspace(-2, 2, 41)
+    io.write_table(table, {"x": x, "U": np.cos(x) + x ** 2 / 2})
+    spec = write_json(tmp_path / "u.json", {"kind": "potential",
+                                            "family": "tabulated",
+                                            "csv": str(table)})
+    outputs = []
+    for src in (table, spec):
+        out = tmp_path / "out.csv"
+        assert run("transform", "--in", src, "--to", to, "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_transform_rejects_bad_spec(tmp_path):
     spec = write_json(tmp_path / "pot.json",
                       {"kind": "potential", "family": "normal", "mu": 0.0,
@@ -395,6 +428,28 @@ def test_transform_all_masked_density_table_exits_2(tmp_path, capsys, to,
     assert capsys.readouterr().err == \
         f"error: all points masked: {column} is undefined on this grid\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, column, values", [
+    (["--to", "density"], "f", [1.0, 0.0, 0.0]),
+    (["--to", "potential"], "U_tilde", [0.0, 1e308, np.inf]),
+    (["--grid-kind", "continuous", "--to", "intensity"], "E_c", None),
+], ids=["density", "potential", "intensity"])
+def test_transform_potential_past_the_float_range(tmp_path, capsys, argv,
+                                                  column, values):
+    # U - min U overflows to inf, the correctly rounded value, and
+    # e^-inf = 0; E_c overflows at every point.  Each run warned first.
+    src, out = tmp_path / "u.csv", tmp_path / "out.csv"
+    io.write_table(src, {"x": [0.0, 1.0, 2.0], "U": [-1e308, 0.0, 1e308]})
+    code = run("transform", "--in", src, *argv, "--out", out)
+    err = capsys.readouterr().err
+    if values is None:
+        assert code == 2 and not out.exists()
+        assert err == f"error: all points masked: {column} is undefined " \
+                      "on this grid\n"
+    else:
+        assert code == 0 and err == ""
+        assert io.read_table(out)[column].tolist() == values
 
 
 @pytest.mark.parametrize("grid", [
@@ -646,6 +701,70 @@ def test_maxent_requires_grid(tmp_path):
                "--out", tmp_path / "sol.json") == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["maxent", "--u", "x", "--moment", 0.5, "--out", "out"],
+    ["maxent", "--u", "x", "--moment", 0.5, "--lower", 0, "--upper", 1,
+     "--out", "out"],
+    ["decompose", "--samples", "s.csv", "--out", "out"],
+    ["decompose", "--samples", "s.csv", "--grid-kind", "continuous",
+     "--points", 11, "--out", "out"],
+], ids=["maxent", "maxent-points", "decompose", "decompose-bounds"])
+def test_grid_bounds_are_required(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.chdir(tmp_path)
+    io.write_table("s.csv", {"x": np.linspace(0, 1, 200)})
+    assert run(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: the following arguments are required: ")
+    assert err.count("\n") == 1
+    assert not Path("out").exists()
+
+
+def test_maxent_u_past_the_float_range_exits_2(tmp_path, capsys):
+    # max u - min u overflows: the range check took an inf margin and
+    # exited 3, "outside attainable range (-1.5e+308, 1.5e+308)"
+    out = tmp_path / "sol.json"
+    assert run("maxent", "--u", "1e308x", "--moment", 0, "--lower", -1.5,
+               "--upper", 1.5, "--points", 5, "--out", out) == 2
+    assert capsys.readouterr().err == \
+        "error: u spans more than the float range on this grid\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("target", [("--moment", 0.3),
+                                    ("--samples", "s.csv")],
+                         ids=["moment", "samples"])
+def test_maxent_tabulated_u_matches_its_polynomial(tmp_path, monkeypatch,
+                                                   target):
+    # (x - 1)^2 as a table, a tabulated spec and an expression: the same u
+    # on the grid, and at samples on its points, so the same bytes
+    monkeypatch.chdir(tmp_path)
+    x = np.linspace(0.0, 2.0, 5)
+    io.write_table("u.csv", {"x": x, "U": (x - 1.0) ** 2})
+    write_json(tmp_path / "u.json", {"kind": "potential",
+                                     "family": "tabulated", "csv": "u.csv"})
+    io.write_table("s.csv", {"x": [0.0, 0.5, 0.5, 1.0, 2.0]})
+    outputs = set()
+    for u in ("u.csv", "u.json", "1 - 2x + x^2"):
+        assert run("maxent", "--u", u, *target, "--lower", 0, "--upper", 2,
+                   "--points", 5, "--out", "m.json", "--table", "m.csv") == 0
+        outputs.add((Path("m.json").read_bytes(),
+                     Path("m.csv").read_bytes()))
+    assert len(outputs) == 1
+
+
+def test_maxent_sample_outside_the_table_exits_2(tmp_path, capsys,
+                                                 monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    x = np.linspace(0.0, 2.0, 5)
+    io.write_table("u.csv", {"x": x, "U": (x - 1.0) ** 2})
+    io.write_table("s.csv", {"x": [0.5, 2.5]})
+    assert run("maxent", "--u", "u.csv", "--samples", "s.csv", "--lower", 0,
+               "--upper", 2, "--points", 5, "--out", "m.json") == 2
+    assert capsys.readouterr().err == \
+        "error: evaluation point outside tabulated domain\n"
+    assert not Path("m.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -708,6 +827,20 @@ def test_simulate_unstable_config_exits_2(tmp_path):
     path = write_json(tmp_path / "cfg.json", cfg)
     assert run("simulate", "--config", path, "--out",
                tmp_path / "res.json") == 2
+
+
+def test_simulate_undefined_causal_intensity_exits_2(tmp_path, capsys):
+    # U = 1e308 x^2 is finite on [-1, 1], but U' = 2e308 x overflows
+    cfg = dict(SIM_CONFIG,
+               potential={"family": "polynomial", "coeffs": [0, 0, 1e308]},
+               grid={"grid_kind": "continuous", "lower": -1.0, "upper": 1.0,
+                     "n_points": 49})
+    out = tmp_path / "res.json"
+    assert run("simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+               "--out", out) == 2
+    assert capsys.readouterr().err == \
+        "error: causal intensity is undefined on the grid\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("change", [
@@ -840,6 +973,32 @@ def test_decompose_tied_samples(tmp_path):
     io.write_table(path, {"x": np.random.default_rng(4).poisson(4.0, 500)})
     assert run("decompose", "--samples", path, "--lower", -2, "--upper", 15,
                "--points", 171, "--out", tmp_path / "dec.csv") == 0
+
+
+def test_decompose_far_outliers_are_quiet(tmp_path, capsys):
+    # +-1e308 overflow np.std and each outlier's KDE grid coordinate; both
+    # runs wrote their tables after overflow warnings
+    samples = np.random.default_rng(8).standard_normal(200)
+    path = tmp_path / "s.csv"
+    io.write_table(path, {"x": np.append(samples, [1e308, -1e308])})
+    grid = ["--lower", -3, "--upper", 3, "--points", 101]
+    # Silverman's rule: the inf std loses to IQR / 1.34
+    report = tmp_path / "r.json"
+    assert run("decompose", "--samples", path, *grid, "--out",
+               tmp_path / "a.csv", "--report", report) == 0
+    q75, q25 = np.percentile(np.append(samples, [1e308, -1e308]), [75, 25])
+    bandwidth = 0.9 * ((q75 - q25) / 1.34) * 202 ** -0.2
+    assert json.loads(report.read_text())["estimator"] == \
+        f"kernel(bandwidth={bandwidth:g})"
+    # a given bandwidth: the outliers are dropped from the estimate, whose
+    # normalization cancels the count
+    out = tmp_path / "b.csv"
+    assert run("decompose", "--samples", path, "--bandwidth", 0.3, *grid,
+               "--out", out) == 0
+    expected = decompose_samples(samples, Grid("continuous", -3, 3, 101),
+                                 bandwidth=0.3).density_estimate.values
+    assert np.allclose(io.read_table(out)["f"], expected, rtol=1e-14, atol=0)
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("bins", ["0", "-3"])

@@ -10,8 +10,8 @@ from equilib import (EquilibriumDensity, Exponential, Normal,
                      PolynomialPotential, SampleError, TabulatedPotential,
                      UniformLattice, build_grid,
                      decompose_samples, fisher_information_number,
-                     fit_linear_intensity, normalize, shannon_entropy,
-                     stochastic_intensity)
+                     fit_linear_intensity, normalize, potential_of_density,
+                     shannon_entropy, stochastic_intensity)
 from equilib.diagnostics import _kernel_density, _silverman_bandwidth
 
 X = PolynomialPotential((0.0, 1.0))
@@ -44,12 +44,30 @@ def test_exponential_entropy():
 
 
 def test_entropy_equals_mean_normalized_potential():
-    # the identity is asserted inside shannon_entropy at 1e-9; exercise it
-    # on a lumpy non-catalog density as well
+    # with U_tilde = -ln f the entropy is the mean normalized potential; the
+    # two sums are equal here, and 1e-15 leaves room for a BLAS that sums
+    # in another order
     g = build_grid("continuous", -3, 3, 801)
-    f = normalize(TabulatedPotential(
+    lumpy = normalize(TabulatedPotential(
         grid=g, values=np.cos(2 * g.points) + g.points ** 2 / 3), g)
-    shannon_entropy(f)
+    densities = [lumpy]
+    rng = np.random.default_rng(26)
+    for kind, lower in (("continuous", -2.5), ("lattice", -40)):
+        grid = build_grid(kind, lower, 40, 81)
+        for _ in range(100):
+            raw = rng.random(81) ** 4
+            # points below the density floor, some of them exact zeros
+            raw[rng.random(81) < 0.2] *= 1e-20
+            raw[rng.random(81) < 0.1] = 0.0
+            densities.append(EquilibriumDensity.from_table(grid, raw))
+    masked = 0
+    for f in densities:
+        u = potential_of_density(f)
+        masked += u.mask.sum()
+        expected = f.grid.quadrature(np.where(u.mask, 0.0,
+                                              f.values * u.values))
+        assert abs(shannon_entropy(f) - expected) <= 1e-15 * abs(expected)
+    assert masked > 0
 
 
 def test_maxent_entropy_cross_check():

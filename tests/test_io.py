@@ -319,6 +319,11 @@ def test_grid_from_x_rejects_non_increasing_x(x):
         io.grid_from_x(np.array(x))
 
 
+def test_grid_from_x_rejects_uneven_spacing():
+    with pytest.raises(io.FormatError, match="not uniformly spaced"):
+        io.grid_from_x(np.array([0.0, 0.5, 1.5]))
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expressions
 
