@@ -89,8 +89,8 @@ def cmd_catalog(args) -> int:
         grid = family.default_grid()
     x = grid.points
     with np.errstate(over="ignore"):  # +-inf far out on a narrow family
-        columns = {"x": x, "f": family.density(x),
-                   "U_tilde": family.normalized_potential(x),
+        u = family.normalized_potential(x)
+        columns = {"x": x, "f": np.exp(-u), "U_tilde": u,
                    "E_c": family.intensity(x)}
     io.write_table(args.out, columns)
     return EXIT_OK

@@ -63,10 +63,15 @@ def sample_u_moment(samples, u) -> float:
     if not hasattr(u, "at"):
         raise SampleError(f"{type(u).__name__} has no pointwise form for a "
                           "sample moment; pass the target moment (--moment)")
-    vals = np.asarray(u.at(samples), dtype=float)
+    # a far sample overflows u or the sum to +-inf (or inf - inf to NaN)
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.asarray(u.at(samples), dtype=float)
+        mean = float(np.mean(vals))
     if not np.all(np.isfinite(vals)):
         raise SampleError("sample outside the domain of u")
-    return float(np.mean(vals))
+    if not np.isfinite(mean):
+        raise SampleError("the sample mean of u exceeds the float range")
+    return mean
 
 
 def _moment_and_var(lam: float, uvals: np.ndarray, grid: Grid):

@@ -12,10 +12,20 @@ is bit-reproducible.  A counter-based stream gives independent normals to
 every chain without per-chain generators (Salmon et al., SC'11); a chain's
 path therefore depends on ``n_chains``.
 
-Noise is drawn and visits are counted in blocks of steps, so memory is
-O(chains x block + points); the kicks, amp xi - lower, fill each block in
-the stream's (C) order and counts are integers, so no bit depends on the
-block size.  Step t writes x + dt E_c(x) into y, adds row t's kicks, folds y
+Noise is drawn and visits are counted in blocks of steps, in two buffers
+of BLOCK_ELEMENTS floats, so memory is O(chains x block + points).  A worker
+thread, one per call, fills the next block's buffer with its kicks, amp xi -
+lower, in the stream's (C) order while the caller steps this one; blocks
+come back in order and counts are integers, so no bit depends on the block
+size or the thread.  The step loop's calls on one float per chain never
+release the GIL, so the caller sleeps 0 s after each hand-off and the
+worker takes it to start its draw, which runs without it.  The worker pins
+itself off the caller's current CPU (field 39 of its /proc stat) unless
+that is the only one allowed or /proc or the affinity calls are missing;
+the caller's affinity never changes.  The caller raises the worker's
+errors and joins it on every exit.
+
+Step t writes x + dt E_c(x) into y, adds row t's kicks, folds y
 into [0, P/2], P = 2 (upper - lower), by mod, P - y and minimum (out by
 keyword: NumPy 2.4 deprecates it positional) and writes y + lower over the
 row: 9 ufunc calls on the double well.  The fold is the identity off the
@@ -28,6 +38,9 @@ errors: a drift off its support returns NaN or inf, which fail the proof.
 
 from __future__ import annotations
 
+import os
+import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,8 +51,8 @@ from .potential import EquilibriumDensity, causal_intensity, normalize
 
 RNG_ALGORITHM = "philox4x64"
 STABILITY_LIMIT = 0.5
-# floats per block buffer (1 MiB); a block is this many steps of all chains
-BLOCK_ELEMENTS = 2 ** 17
+# floats per block buffer, of which there are two (1 MiB)
+BLOCK_ELEMENTS = 2 ** 16
 CHUNK = 64  # steps per chunk, which runs clear where the fold is identity
 REACH = 6.0  # kick sigmas past the drift that a clear chunk keeps off walls
 
@@ -89,6 +102,31 @@ def _fold_free(lo, hi, lower, period):
     return bool(lower < lo and hi < period * 0.5 + lower)
 
 
+def _draw(rng, paths, starts, n_steps, amp, lower, caller, free, ready, box):
+    """The worker: block k's kicks, amp xi - lower, into paths[k % 2] once
+    the caller frees it; an error goes into box for the caller to raise."""
+    try:
+        try:  # off the caller's CPU, field 39 of its stat, if it has others
+            with open(f"/proc/self/task/{caller}/stat", "rb") as stat:
+                cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+            others = os.sched_getaffinity(0) - {cpu}
+            if others:
+                os.sched_setaffinity(0, others)  # this thread alone
+        except (AttributeError, OSError):  # no affinity calls or no /proc
+            pass
+        for k, start in enumerate(starts):
+            free.acquire()
+            if box:  # the caller has stopped
+                return
+            kicks = rng.standard_normal(out=paths[k % 2, :n_steps - start])
+            np.multiply(kicks, amp, kicks)
+            np.subtract(kicks, lower, kicks)
+            ready.release()
+    except BaseException as exc:
+        box.append(exc)
+        ready.release()
+
+
 def simulate(config: SimConfig) -> SimResult:
     """Run the chains and compare the histogram with the Boltzmann density."""
     grid = config.grid
@@ -121,7 +159,7 @@ def simulate(config: SimConfig) -> SimResult:
     edges = np.concatenate(([pts[0]], 0.5 * (pts[1:] + pts[:-1]), [pts[-1]]))
     counts = np.zeros(grid.n_points, dtype=np.int64)
     block = min(config.n_steps, max(1, BLOCK_ELEMENTS // config.n_chains))
-    path = np.empty((block, config.n_chains))
+    paths = np.empty((2, block, config.n_chains))
     y, z = np.empty(config.n_chains), np.empty(config.n_chains)
     amp = np.sqrt(2.0 * config.dt)
     lower = np.array(grid.lower)
@@ -130,37 +168,50 @@ def simulate(config: SimConfig) -> SimResult:
     near, far = grid.lower + reach, grid.upper - reach
     lo, hi = x.min(), x.max()
     add, subtract, mod, minimum = np.add, np.subtract, np.mod, np.minimum
-    for start in range(0, config.n_steps, block):
-        m = min(block, config.n_steps - start)
-        kicks = rng.standard_normal(out=path[:m])
-        np.multiply(kicks, amp, kicks)
-        np.subtract(kicks, lower, kicks)
-        for c in range(0, m, CHUNK):
-            rows, x0 = kicks[c:c + CHUNK], x
-            if near < lo and hi < far:
-                saved = rows.copy()  # the kicks, for a folded rerun
-                with np.errstate(all="ignore"):
-                    for row in rows:
-                        advance(x, y)
-                        add(y, row, y)
-                        x = add(y, lower, row)
-                    lo, hi = rows.min(), rows.max()  # the proof reads all rows
-                if _fold_free(lo, hi, grid.lower, period):
-                    continue
-                np.copyto(rows, saved)
-                x = x0
-            for row in rows:
-                advance(x, y)
-                add(y, row, y)
-                mod(y, period, y)
-                subtract(period, y, z)
-                minimum(y, z, out=y)
-                x = add(y, lower, row)
-            lo, hi = x.min(), x.max()
-        x = x.copy()  # the next block's kicks overwrite this row
-        # burn-in may end mid-block; integer counts merge exactly
-        skip = max(0, config.burn_in - start)
-        counts += np.histogram(path[skip:m], bins=edges)[0]
+    free, ready, box = threading.Semaphore(2), threading.Semaphore(0), []
+    starts = range(0, config.n_steps, block)
+    worker = threading.Thread(target=_draw, daemon=True, args=(
+        rng, paths, starts, config.n_steps, amp, lower,
+        threading.get_native_id(), free, ready, box))
+    worker.start()
+    try:
+        for k, start in enumerate(starts):
+            ready.acquire()
+            if box:
+                raise box[0]
+            kicks = paths[k % 2, :config.n_steps - start]  # the last is short
+            for c in range(0, len(kicks), CHUNK):
+                rows, x0 = kicks[c:c + CHUNK], x
+                if near < lo and hi < far:
+                    saved = rows.copy()  # the kicks, for a folded rerun
+                    with np.errstate(all="ignore"):
+                        for row in rows:
+                            advance(x, y)
+                            add(y, row, y)
+                            x = add(y, lower, row)
+                        lo, hi = rows.min(), rows.max()  # reads all rows
+                    if _fold_free(lo, hi, grid.lower, period):
+                        continue
+                    np.copyto(rows, saved)
+                    x = x0
+                for row in rows:
+                    advance(x, y)
+                    add(y, row, y)
+                    mod(y, period, y)
+                    subtract(period, y, z)
+                    minimum(y, z, out=y)
+                    x = add(y, lower, row)
+                lo, hi = x.min(), x.max()
+            x = x.copy()  # the worker overwrites this row
+            # burn-in may end mid-block; integer counts merge exactly
+            skip = max(0, config.burn_in - start)
+            counts += np.histogram(kicks[skip:], bins=edges)[0]
+            free.release()
+            time.sleep(0)  # hand the GIL to the worker, which then draws
+    finally:
+        box.append(None)  # stops the worker at its next buffer
+        free.release()
+        worker.join()
     hist = EquilibriumDensity.from_table(
         grid, counts / (counts.sum() * grid.weights))
 

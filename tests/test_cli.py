@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -690,6 +691,20 @@ def test_maxent_samples_of_pearson_u_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("u,samples", [
+    ("x^2", [1.0, 2.0, 1e200]),  # u overflows at a sample
+    ("x", [1e308, 1e308]),  # u is finite, but its sum overflows
+], ids=["u", "mean"])
+def test_maxent_far_samples_exit_2_quietly(tmp_path, capsys, u, samples):
+    path = tmp_path / "s.csv"
+    io.write_table(path, {"x": np.array(samples)})
+    out = tmp_path / "sol.json"
+    assert run("maxent", "--u", u, "--samples", path, "--lower", 0,
+               "--upper", 3, "--points", 31, "--out", out) == 2
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
 def test_maxent_bad_expression_exits_2(tmp_path):
     assert run("maxent", "--u", "x + sin(x)", "--moment", 0.5,
                "--lower", 0, "--upper", 10, "--points", 101,
@@ -841,6 +856,27 @@ def test_simulate_undefined_causal_intensity_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err == \
         "error: causal intensity is undefined on the grid\n"
     assert not out.exists()
+
+
+def test_simulate_out_of_memory_in_the_worker_exits_2(tmp_path, capsys,
+                                                    monkeypatch):
+    # the kicks are drawn on a worker thread; its error reaches the caller
+    class NoKicks(np.random.Generator):
+        def standard_normal(self, *args, **kwargs):
+            raise MemoryError("Unable to allocate the kicks")
+
+    monkeypatch.setattr(np.random, "Generator", NoKicks)
+    threads = threading.active_count()
+    out = tmp_path / "res.json"
+    assert run("simulate", "--config",
+               write_json(tmp_path / "cfg.json", SIM_CONFIG),
+               "--out", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory (Unable to allocate the "
+                          "kicks)")
+    assert err.count("\n") == 1
+    assert not out.exists()
+    assert threading.active_count() == threads
 
 
 @pytest.mark.parametrize("change", [

@@ -1,4 +1,8 @@
 import importlib
+import io
+import os
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -634,3 +638,144 @@ def test_unchecked_family_drift_matches_oracle(family, grid, monkeypatch):
     assert np.array_equal(r.histogram.values, values)
     assert r.n_samples_used == n_used
     assert r.tv_distance == tv
+
+
+# ---------------------------------------------------------------------------
+# the worker thread that draws the next block's kicks
+
+
+class FailingGenerator(np.random.Generator):
+    """Draws the starting points, then fails to allocate the kicks."""
+
+    def standard_normal(self, *args, **kwargs):
+        raise MemoryError("Unable to allocate the kicks")
+
+
+@pytest.mark.parametrize("side", ["worker", "caller"])
+def test_errors_reach_the_caller_and_the_worker_is_joined(side,
+                                                          monkeypatch):
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    def run():
+        try:
+            simulate(harmonic_config(n_steps=100, burn_in=0))
+        except BaseException as exc:  # KeyboardInterrupt too
+            caught.append(exc)
+
+    threads, caught = threading.active_count(), []
+    if side == "worker":
+        monkeypatch.setattr(np.random, "Generator", FailingGenerator)
+    else:  # the caller fails after stepping its first block
+        monkeypatch.setattr(np, "histogram", interrupted)
+    monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", 8 * 10)
+    caller = threading.Thread(target=run, daemon=True)
+    caller.start()
+    caller.join(timeout=30)  # a worker that is never joined hangs it
+    assert not caller.is_alive()
+    [error] = caught
+    assert type(error) is (MemoryError if side == "worker"
+                           else KeyboardInterrupt)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no thread affinity calls")
+def test_worker_pins_itself_and_never_the_caller(monkeypatch):
+    pins, setaffinity = [], os.sched_setaffinity
+
+    def recording(pid, cpus):
+        pins.append((threading.get_ident(), set(cpus)))
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    allowed = os.sched_getaffinity(0)
+    simulate(harmonic_config(n_steps=1000, burn_in=0))
+    assert os.sched_getaffinity(0) == allowed
+    if len(allowed) == 1:
+        assert pins == []
+    else:
+        [(thread, cpus)] = pins
+        assert thread != threading.get_ident()
+        assert cpus < allowed and len(cpus) == len(allowed) - 1
+
+
+def _stat(*args):
+    """The caller's stat line, field n reading n; the command name in
+    parentheses holds spaces and a ')'."""
+    return io.BytesIO(("7 (a) b c) " + " ".join(map(str, range(3, 53))))
+                      .encode())
+
+
+def _no_proc(*args):
+    raise FileNotFoundError("/proc/self/task")
+
+
+@pytest.mark.parametrize("allowed,stat,pin", [
+    ({38, 39, 40}, _stat, {38, 40}),  # field 39: the caller is on CPU 39
+    ({39}, _stat, None),  # the caller's one CPU
+    ({38, 39, 40}, _no_proc, None),
+    (None, _stat, None),  # no affinity calls
+])
+def test_worker_pin_leaves_out_the_callers_cpu(allowed, stat, pin,
+                                               monkeypatch):
+    pins = []
+    monkeypatch.setattr(SIM_MODULE, "open", stat, raising=False)
+    if allowed is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed,
+                            raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, cpus: pins.append((pid, cpus)),
+                        raising=False)
+    r = simulate(harmonic_config(n_steps=100, burn_in=0))
+    assert r.n_samples_used == 8 * 100
+    assert pins == ([] if pin is None else [(0, pin)])
+
+
+def test_concurrent_runs_under_fast_switching_match_oracle(monkeypatch):
+    # four callers and their four workers, switching every microsecond;
+    # blocks of 100 steps run as chunks of 64 and 36, clear and folded
+    potential, grid = NEAR_WALL
+    configs = [SimConfig(potential=potential, grid=grid, dt=5e-3,
+                         n_steps=600, burn_in=50, n_chains=3, seed=seed)
+               for seed in range(4)]
+    references = [_reference_simulate(cfg) for cfg in configs]
+    local, results, verdicts = threading.local(), {}, []
+    histogram, fold_free = np.histogram, SIM_MODULE._fold_free
+
+    def recording_histogram(a, *args, **kwargs):
+        local.kept.append(np.array(a))
+        return histogram(a, *args, **kwargs)
+
+    def recording_fold_free(*args):
+        verdicts.append(fold_free(*args))
+        return verdicts[-1]
+
+    def run(cfg):
+        local.kept = []
+        results[cfg.seed] = simulate(cfg), local.kept
+
+    monkeypatch.setattr(np, "histogram", recording_histogram)
+    monkeypatch.setattr(SIM_MODULE, "_fold_free", recording_fold_free)
+    monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", 3 * 100)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=run, args=(cfg,), daemon=True)
+                   for cfg in configs]
+        for caller in callers:
+            caller.start()
+        for caller in callers:
+            caller.join(timeout=60)
+            assert not caller.is_alive()
+    finally:
+        sys.setswitchinterval(interval)
+    assert True in verdicts and False in verdicts
+    for cfg, (values, n_used, tv, positions) in zip(configs, references):
+        r, kept = results[cfg.seed]
+        assert len(kept) == 6
+        assert np.array_equal(np.concatenate(kept).T, positions)
+        assert np.array_equal(r.histogram.values, values)
+        assert r.n_samples_used == n_used and r.tv_distance == tv
