@@ -67,8 +67,9 @@ def sample_u_moment(samples, u) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         vals = np.asarray(u.at(samples), dtype=float)
         mean = float(np.mean(vals))
-    if not np.all(np.isfinite(vals)):
-        raise SampleError("sample outside the domain of u")
+    if not np.all(np.isfinite(vals)):  # overflow: at() raises off u's domain
+        x = samples.flat[np.argmin(np.isfinite(vals))]
+        raise SampleError(f"u is not finite at the sample x = {x:g}")
     if not np.isfinite(mean):
         raise SampleError("the sample mean of u exceeds the float range")
     return mean

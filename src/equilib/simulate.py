@@ -14,9 +14,9 @@ path therefore depends on ``n_chains``.
 
 Noise is drawn and visits are counted in blocks of steps, in two buffers
 of BLOCK_ELEMENTS floats, so memory is O(chains x block + points).  A worker
-thread, one per call, fills the next block's buffer with its kicks, amp xi -
-lower, in the stream's (C) order while the caller steps this one; blocks
-come back in order and counts are integers, so no bit depends on the block
+thread, one per call, fills the next block's buffer with its kicks, amp xi,
+in the stream's (C) order while the caller steps this one; blocks come
+back in order and counts are integers, so no bit depends on the block
 size or the thread.  The step loop's calls on one float per chain never
 release the GIL, so the caller sleeps 0 s after each hand-off and the
 worker takes it to start its draw, which runs without it.  The worker pins
@@ -25,15 +25,17 @@ that is the only one allowed or /proc or the affinity calls are missing;
 the caller's affinity never changes.  The caller raises the worker's
 errors and joins it on every exit.
 
-Step t writes x + dt E_c(x) into y, adds row t's kicks, folds y
-into [0, P/2], P = 2 (upper - lower), by mod, P - y and minimum (out by
-keyword: NumPy 2.4 deprecates it positional) and writes y + lower over the
-row: 9 ufunc calls on the double well.  The fold is the identity off the
-walls, so a chunk of CHUNK steps runs clear, without it (6 calls), if the
-last clear chunk's rows (or a folded one's last row) kept every chain
-dt max|E_c| + REACH amp inside; ``_fold_free`` then proves it exact, else
-it reruns folded on a saved copy of its kicks.  A clear pass ignores float
-errors: a drift off its support returns NaN or inf, which fail the proof.
+Step t writes x + dt E_c(x) into y, adds row t's kicks and, by
+``_reflect``, reflects y once at each wall over the row, the identity on
+[lower, upper]: 9 ufunc calls on the double well.  A chain still outside
+stepped farther than upper - lower; only it folds by u = (y - lower) mod P,
+x = lower + min(u, P - u), P = 2 (upper - lower).  A chunk of CHUNK steps
+runs clear, without the reflection (5 calls), if the last chunk's rows (a
+reflected one's last row) kept every chain dt max|E_c| + REACH amp inside,
+else reflected; one min and max of its rows in [lower, upper] prove the
+pass exact, else it reruns a level up (clear, reflected, wide) on a saved
+copy of its kicks.  Only the wide pass heeds float errors: a drift off its
+support gives NaN or inf, which fail the proof.
 """
 
 from __future__ import annotations
@@ -97,13 +99,16 @@ def tv_distance(p: EquilibriumDensity, q: EquilibriumDensity) -> float:
     return 0.5 * p.grid.quadrature(np.abs(p.values - q.values))
 
 
-def _fold_free(lo, hi, lower, period):
-    """Whether x = fl(y + lower) in [lo, hi] puts every y in (0, P/2)."""
-    return bool(lower < lo and hi < period * 0.5 + lower)
+def _reflect(y, twice_lower, twice_upper, z, out):
+    """max(2 lower - y, y), then min(2 upper - ., .), into out: y in [lower,
+    upper] keeps its bits (a tie gives the second operand), and y at most
+    upper - lower outside lands inside (out by keyword, as NumPy asks)."""
+    np.maximum(np.subtract(twice_lower, y, z), y, out=out)
+    return np.minimum(np.subtract(twice_upper, out, z), out, out=out)
 
 
-def _draw(rng, paths, starts, n_steps, amp, lower, caller, free, ready, box):
-    """The worker: block k's kicks, amp xi - lower, into paths[k % 2] once
+def _draw(rng, paths, starts, n_steps, amp, caller, free, ready, box):
+    """The worker: block k's kicks, amp xi, into paths[k % 2] once
     the caller frees it; an error goes into box for the caller to raise."""
     try:
         try:  # off the caller's CPU, field 39 of its stat, if it has others
@@ -120,7 +125,6 @@ def _draw(rng, paths, starts, n_steps, amp, lower, caller, free, ready, box):
                 return
             kicks = rng.standard_normal(out=paths[k % 2, :n_steps - start])
             np.multiply(kicks, amp, kicks)
-            np.subtract(kicks, lower, kicks)
             ready.release()
     except BaseException as exc:
         box.append(exc)
@@ -162,16 +166,16 @@ def simulate(config: SimConfig) -> SimResult:
     paths = np.empty((2, block, config.n_chains))
     y, z = np.empty(config.n_chains), np.empty(config.n_chains)
     amp = np.sqrt(2.0 * config.dt)
-    lower = np.array(grid.lower)
-    period = np.array(2.0 * (grid.upper - grid.lower))
+    lower, upper = grid.lower, grid.upper
+    twice_lower, twice_upper = np.array(2.0 * lower), np.array(2.0 * upper)
+    add, period = np.add, 2.0 * (upper - lower)
     reach = margin + REACH * amp  # it sets the speed alone, not the bits
-    near, far = grid.lower + reach, grid.upper - reach
+    near, far = lower + reach, upper - reach
     lo, hi = x.min(), x.max()
-    add, subtract, mod, minimum = np.add, np.subtract, np.mod, np.minimum
     free, ready, box = threading.Semaphore(2), threading.Semaphore(0), []
     starts = range(0, config.n_steps, block)
     worker = threading.Thread(target=_draw, daemon=True, args=(
-        rng, paths, starts, config.n_steps, amp, lower,
+        rng, paths, starts, config.n_steps, amp,
         threading.get_native_id(), free, ready, box))
     worker.start()
     try:
@@ -182,26 +186,28 @@ def simulate(config: SimConfig) -> SimResult:
             kicks = paths[k % 2, :config.n_steps - start]  # the last is short
             for c in range(0, len(kicks), CHUNK):
                 rows, x0 = kicks[c:c + CHUNK], x
-                if near < lo and hi < far:
-                    saved = rows.copy()  # the kicks, for a folded rerun
-                    with np.errstate(all="ignore"):
+                saved = rows.copy()  # the kicks, for a rerun
+                # 0 clear, 1 reflected, 2 wide: 0 and 1 are proved or rerun
+                for level in range(0 if near < lo and hi < far else 1, 3):
+                    with np.errstate(all="ignore" if level < 2 else None):
                         for row in rows:
                             advance(x, y)
+                            if not level:
+                                x = add(y, row, row)
+                                continue
                             add(y, row, y)
-                            x = add(y, lower, row)
+                            x = _reflect(y, twice_lower, twice_upper, z, row)
+                            if level == 2:  # a step wider than the grid
+                                i = np.flatnonzero((x < lower) | (x > upper))
+                                u = np.mod(y[i] - lower, period)
+                                x[i] = lower + np.minimum(u, period - u)
                         lo, hi = rows.min(), rows.max()  # reads all rows
-                    if _fold_free(lo, hi, grid.lower, period):
-                        continue
+                    if level == 2 or lower <= lo and hi <= upper:
+                        break
                     np.copyto(rows, saved)
                     x = x0
-                for row in rows:
-                    advance(x, y)
-                    add(y, row, y)
-                    mod(y, period, y)
-                    subtract(period, y, z)
-                    minimum(y, z, out=y)
-                    x = add(y, lower, row)
-                lo, hi = x.min(), x.max()
+                if level:  # a reflected chunk's last row alone counts
+                    lo, hi = x.min(), x.max()
             x = x.copy()  # the worker overwrites this row
             # burn-in may end mid-block; integer counts merge exactly
             skip = max(0, config.burn_in - start)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -691,17 +692,21 @@ def test_maxent_samples_of_pearson_u_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("u,samples", [
-    ("x^2", [1.0, 2.0, 1e200]),  # u overflows at a sample
-    ("x", [1e308, 1e308]),  # u is finite, but its sum overflows
+@pytest.mark.parametrize("u,samples,message", [
+    # u overflows at a sample inside its domain
+    ("x^2", [1.0, 2.0, 1e200, 1e300], "u is not finite at the sample "
+                                      "x = 1e+200"),
+    # u is finite, but its sum overflows
+    ("x", [1e308, 1e308], "the sample mean of u exceeds the float range"),
 ], ids=["u", "mean"])
-def test_maxent_far_samples_exit_2_quietly(tmp_path, capsys, u, samples):
+def test_maxent_far_samples_exit_2_quietly(tmp_path, capsys, u, samples,
+                                           message):
     path = tmp_path / "s.csv"
     io.write_table(path, {"x": np.array(samples)})
     out = tmp_path / "sol.json"
     assert run("maxent", "--u", u, "--samples", path, "--lower", 0,
                "--upper", 3, "--points", 31, "--out", out) == 2
-    assert _one_line_error(capsys)
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -824,6 +829,35 @@ def test_simulate_reproducible_bytes(tmp_path, capsys):
     assert res["rng_algorithm"] == "philox4x64"
     assert res["tv_distance"] < 0.1
     assert "tv_distance = " in capsys.readouterr().out
+
+
+# --hist SHA-256s pinned across versions of the step: a run whose chunks
+# run clear (the first reflected) and one whose every chunk reflects; both
+# drifts use only +, - and x, so a last-bit change in a position moves a
+# count only where it crosses a bin edge
+GOLDEN_HIST = {
+    "double_well": (
+        {"family": "polynomial", "coeffs": [1.0, 0.0, -1.0, 0.0, 0.25]},
+        {"lower": -4.0, "upper": 4.0, "n_points": 161}, 3000, 32,
+        "43aec0f392159da79598bf46fc3ee74e4310d30bcd8b4739f330fd06fd4597b5"),
+    "exponential": (
+        {"family": "exponential", "a": 1.0},
+        {"lower": 0.0, "upper": 12.0, "n_points": 49}, 1000, 128,
+        "ef705228a6d6ecc0b83c6ebf31d7983ebaa9d88b21f9f8062d4197520081a4fd"),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_HIST)
+def test_simulate_hist_bytes_are_pinned(tmp_path, name):
+    potential, grid, n_steps, n_chains, digest = GOLDEN_HIST[name]
+    cfg = {"kind": "sim_config", "potential": potential,
+           "grid": {"grid_kind": "continuous", **grid}, "dt": 5e-3,
+           "n_steps": n_steps, "burn_in": n_steps // 10,
+           "n_chains": n_chains, "seed": 7}
+    hist = tmp_path / "hist.csv"
+    assert run("simulate", "--config", write_json(tmp_path / "cfg.json", cfg),
+               "--out", tmp_path / "res.json", "--hist", hist) == 0
+    assert hashlib.sha256(hist.read_bytes()).hexdigest() == digest
 
 
 def test_simulate_high_potential_floor_runs_quietly(tmp_path, capsys):

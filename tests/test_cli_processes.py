@@ -114,8 +114,8 @@ SIM_CONFIGS = {
     "exponential": ({"kind": "potential", "family": "exponential", "a": 1.0},
                     {"lower": 0.0, "upper": 12.0, "n_points": 241},
                     LONG_RUN, 0.04),
-    # a family drift that switches between clear and folded chunks: 20 of
-    # its 157 chunks run clear first and 2 of those are redone folded
+    # a family drift that switches between clear and reflected chunks: 61
+    # of its 157 chunks run clear first and 6 of those are redone reflected
     "gamma": ({"kind": "potential", "family": "gamma", "alpha": 5.0,
                "beta": 1.0}, {"lower": 0.5, "upper": 20.0}, LONG_RUN, None),
 }

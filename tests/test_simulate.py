@@ -3,10 +3,15 @@ import io
 import os
 import sys
 import threading
+import time
 import tracemalloc
+
+from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
                      LinearConstant, Normal, PearsonPotential, Poisson,
@@ -162,14 +167,16 @@ def test_stability_margin_is_dt_times_max_intensity():
 # streaming in blocks against the whole-array loop
 
 
-def _reference_simulate(config):
+def _reference_simulate(config, sums=None):
     """Whole-array Euler-Maruyama: all noise and kept positions at once.
 
-    A step is y = mod(x + E dt + (amp xi - lower), P), x = min(y, P - y)
-    + lower, with P = 2 (upper - lower).  On a polynomial, x + E dt is
-    polyval(x, q) for q = x - dt U'; elsewhere it is x + E(x) * dt, with E
-    the closed-form intensity where simulate's is (the spec has
-    ``euler_map``), else the interpolated E_c table."""
+    A step is y = x + E dt + amp xi, reflected once at each wall, z =
+    max(2 lower - y, y), z = min(2 upper - z, z); a chain still outside
+    folds by u = mod(y - lower, P), x = lower + min(u, P - u), with P =
+    2 (upper - lower).  On a polynomial, x + E dt is polyval(x, q) for q =
+    x - dt U'; elsewhere it is x + E(x) * dt, with E the closed-form
+    intensity where simulate's is (the spec has ``euler_map``), else the
+    interpolated E_c table.  Each step's (y, z, x) goes into sums if given."""
     grid, dt, U = config.grid, config.dt, config.potential
     P = np.polynomial.polynomial
     q = (P.polyadd((0.0, 1.0), -dt * P.polyder(U.coeffs))
@@ -184,12 +191,19 @@ def _reference_simulate(config):
     rng = np.random.Generator(np.random.Philox(config.seed))
     x = rng.uniform(grid.lower, grid.upper, config.n_chains)
     noise = rng.standard_normal((config.n_steps, config.n_chains))
-    kicks = np.sqrt(2.0 * dt) * noise - grid.lower
-    period = 2.0 * (grid.upper - grid.lower)
+    kicks = np.sqrt(2.0 * dt) * noise
+    lower, upper = grid.lower, grid.upper
+    period = 2.0 * (upper - lower)
     positions = np.empty((config.n_chains, config.n_steps - config.burn_in))
     for t in range(config.n_steps):
-        y = np.mod(advance(x) + kicks[t], period)
-        x = np.minimum(y, period - y) + grid.lower
+        y = advance(x) + kicks[t]
+        z = np.maximum(2.0 * lower - y, y)
+        z = np.minimum(2.0 * upper - z, z)
+        u = np.mod(y - lower, period)
+        x = np.where((z < lower) | (z > upper),
+                     lower + np.minimum(u, period - u), z)
+        if sums is not None:
+            sums.append((y, z, x))
         if t >= config.burn_in:
             positions[:, t - config.burn_in] = x
     pts = grid.points
@@ -328,7 +342,7 @@ class Counting:
 def step_call_counter(monkeypatch, potential, grid, seed, n_chains=4):
     """count(n_steps): the ufunc calls of one simulate run of n_steps."""
     calls = []
-    for name in ("add", "subtract", "mod", "minimum", "multiply"):
+    for name in ("add", "subtract", "mod", "maximum", "minimum", "multiply"):
         monkeypatch.setattr(np, name, Counting(getattr(np, name), calls))
 
     def count(n_steps):
@@ -344,28 +358,29 @@ def step_call_counter(monkeypatch, potential, grid, seed, n_chains=4):
 
 def test_double_well_step_is_nine_ufunc_calls(monkeypatch):
     # Horner on x - dt U' = -dt x^3 + (1 + 2 dt) x is 4 calls (times -dt,
-    # times x, plus 1 + 2 dt, times x), then kick, mod, P - y, min and
-    # + lower; the 12-call step drifted, scaled and added x apart.  Seed 5
-    # starts a chain 0.6 from a wall, so this one chunk runs folded
+    # times x, plus 1 + 2 dt, times x), then kick, 2 lower - y, max,
+    # 2 upper - y and min; the 12-call step drifted, scaled and added x
+    # apart.  Seed 5 starts a chain 0.6 from a wall, so this one chunk runs
+    # reflected
     count = step_call_counter(monkeypatch, QUARTIC, QUARTIC_GRID, seed=5)
     # both runs are one block, so the difference is 49 steps' calls
     assert count(50) - count(1) == 49 * 9
 
 
-def test_clear_double_well_step_is_six_ufunc_calls(monkeypatch):
+def test_clear_double_well_step_is_five_ufunc_calls(monkeypatch):
     # seed 2 starts every chain more than reach (0.88) inside the walls and
-    # they stay there: every chunk runs clear, the fold's 3 calls skipped;
-    # the two runs differ in the third chunk's last 49 steps
+    # they stay there: every chunk runs clear, Horner and the kick written
+    # over the row; the two runs differ in the third chunk's last 49 steps
     start = np.random.Generator(np.random.Philox(2)).uniform(-4, 4, 4)
     assert np.all(np.abs(start) < 4 - 0.88)
     count = step_call_counter(monkeypatch, QUARTIC, QUARTIC_GRID, seed=2)
     chunk = SIM_MODULE.CHUNK
-    assert count(2 * chunk + 50) - count(2 * chunk + 1) == 49 * 6
+    assert count(2 * chunk + 50) - count(2 * chunk + 1) == 49 * 5
 
 
 def test_exponential_folds_every_chunk(monkeypatch):
     # 128 chains keep one by the wall at 0 (the map is 2 calls: -a dt, + x),
-    # so every chunk runs folded, with no clear pass tried
+    # so every chunk runs reflected, with no clear pass tried
     count = step_call_counter(monkeypatch, Exponential(1.0),
                               build_grid("continuous", 0, 12, 49), seed=7,
                               n_chains=128)
@@ -374,58 +389,54 @@ def test_exponential_folds_every_chunk(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# clear chunks: the fold skipped where it is the identity
+# clear, reflected and wide passes, each proved or rerun one level up
 
 
-@pytest.mark.parametrize("y,free", [
-    (0.0, False),       # the fold keeps 0, but x = lower fails the test
-    (-0.0, False),      # the fold turns -0 into +0
-    (0.5, True),
-    (4.0, False),       # P/2: the fold keeps it, but x = inner fails
-    (np.nextafter(4.0, np.inf), False),  # the fold takes P - y
-    (np.nan, False),
-])
-def test_fold_free_is_exact(y, free):
-    lower, period = -1.25, 8.0
-    x = np.add(y, lower)
-    assert SIM_MODULE._fold_free(x, x, lower, period) is free
-    folded = np.mod(y, period)
-    folded = np.minimum(folded, period - folded)
-    if free:  # the clear step and the folded one give the same bits
-        assert folded.tobytes() == np.float64(y).tobytes()
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.floats(-1e300, 1e300), st.floats(-1e300, 1e300),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@example(0.0, 1.0, [0.0, 1.0])
+@example(-1.0, 0.0, [0.5])
+def test_reflect_keeps_the_grid_and_brings_a_short_step_inside(a, b, at):
+    # y across [lower, upper] (both walls, their neighbours inside and a
+    # zero of either sign where the grid holds one) keeps its bits; y at
+    # most upper - lower past either wall lands inside
+    lower, upper = min(a, b), max(a, b)
+    assume(lower < upper)
+    width, frac = upper - lower, np.array(at)
+    zeros = [-0.0, 0.0] if lower <= 0.0 <= upper else []
+    inside = np.concatenate((
+        np.clip(lower + frac * width, lower, upper), zeros, [lower, upper],
+        [np.nextafter(lower, upper), np.nextafter(upper, lower)]))
+    outside = np.array([y for y in np.concatenate((lower - frac * width,
+                                                   upper + frac * width))
+                        if max(F(lower) - F(y), F(y) - F(upper))
+                        <= F(upper) - F(lower)])
+    walls = np.array(2.0 * lower), np.array(2.0 * upper)
+    for y in (inside, outside):
+        out = np.empty_like(y)
+        assert SIM_MODULE._reflect(y, *walls, np.empty_like(y), out) is out
+        assert np.all((lower <= out) & (out <= upper))
+        if y is inside:
+            assert out.tobytes() == y.tobytes()
 
 
-def test_fold_free_bound_is_tight():
-    # x = inner fails and the float below it passes
-    lower, period = -1.25, 8.0
-    inner = period * 0.5 + lower
-    below = np.nextafter(inner, -np.inf)
-    assert SIM_MODULE._fold_free(lower + 1.0, below, lower, period)
-    assert not SIM_MODULE._fold_free(lower + 1.0, inner, lower, period)
-
-
-def _chunk_story(cfg, margin, monkeypatch):
+def _chunk_story(cfg, margin):
     """The oracle's run and, for each chunk that simulate steps, (first
-    step, steps, tried clear, row of its first wall contact or None).
+    step, steps, levels it runs, row of its first wall contact or None).
 
-    A chunk is tried clear when the positions of the last chunk (of its
-    last row alone where it ran folded), or the start, lie more than
-    margin + REACH amp inside both walls; a contact is a step
-    whose pre-fold sum y, which the oracle passes to np.mod, has
-    x = y + lower outside (lower, lower + P/2)."""
-    sums, mod = [], np.mod
-
-    def recording_mod(a, *args):
-        sums.append(np.array(a))
-        return mod(a, *args)
-
-    with monkeypatch.context() as m:
-        m.setattr(np, "mod", recording_mod)
-        reference = _reference_simulate(cfg)
-    grid, positions = cfg.grid, reference[3]
-    x = np.array(sums) + grid.lower
-    inner = (grid.upper - grid.lower) + grid.lower
-    contact = ~((x > grid.lower) & (x < inner)).all(axis=1)
+    A chunk starts clear (level 0) when the positions of the last chunk
+    (of its last row alone where it ran reflected), or the start, lie more
+    than margin + REACH amp inside both walls, else reflected (1).  A clear
+    pass fails at a contact, a step whose sum y leaves [lower, upper]; a
+    reflected one where a once-reflected z does; each failure reruns the
+    chunk one level up, up to wide (2)."""
+    sums = []
+    reference = _reference_simulate(cfg, sums)
+    grid = cfg.grid
+    y, z, x = (np.array(a) for a in zip(*sums))
+    contact, wide = (~((a >= grid.lower) & (a <= grid.upper)).all(axis=1)
+                     for a in (y, z))
     reach = margin + SIM_MODULE.REACH * np.sqrt(2.0 * cfg.dt)
     start = np.random.Generator(np.random.Philox(cfg.seed)).uniform(
         grid.lower, grid.upper, cfg.n_chains)
@@ -437,12 +448,44 @@ def _chunk_story(cfg, margin, monkeypatch):
         for t in range(b, min(b + block, cfg.n_steps), SIM_MODULE.CHUNK):
             n = min(SIM_MODULE.CHUNK, b + block - t, cfg.n_steps - t)
             hits = np.flatnonzero(contact[t:t + n])
-            tried = bool(grid.lower + reach < lo and hi < grid.upper - reach)
-            story.append((t, n, tried, int(hits[0]) if hits.size else None))
-            clear = tried and not hits.size
-            span = positions[:, t:t + n] if clear else positions[:, t + n - 1]
+            clear = grid.lower + reach < lo and hi < grid.upper - reach
+            levels = [0] if clear else []
+            if hits.size or not clear:
+                levels += [1, 2] if wide[t:t + n].any() else [1]
+            story.append((t, n, levels, int(hits[0]) if hits.size else None))
+            span = x[t:t + n] if levels == [0] else x[t + n - 1]
             lo, hi = span.min(), span.max()
     return reference, story
+
+
+def record_steps(m, potential, events):
+    """Patch m so that each simulate step appends to events(): 'A' as it
+    advances, then 'R' if it reflects."""
+    euler_map, reflect = type(potential).euler_map, SIM_MODULE._reflect
+
+    def recording_map(self, dt):
+        advance = euler_map(self, dt)
+
+        def recording(x, out):
+            events().append("A")
+            return advance(x, out)
+        return recording
+
+    def recording_reflect(*args):
+        events().append("R")
+        return reflect(*args)
+
+    m.setattr(type(potential), "euler_map", recording_map)
+    m.setattr(SIM_MODULE, "_reflect", recording_reflect)
+
+
+def step_kinds(events=None, story=None):
+    """Per step run, 0 if clear and 1 if reflected, from recorded events
+    or from a chunk story."""
+    if story is None:
+        return [len(step) for step in "".join(events).split("A")[1:]]
+    return [min(level, 1) for _, n, levels, _ in story for level in levels
+            for _ in range(n)]
 
 
 # a normal whose mean sits half a sigma above the lower wall
@@ -451,7 +494,7 @@ GAMMA_5 = (Gamma(5.0, 1.0), build_grid("continuous", 0.5, 20, 41))
 
 # name: (potential and grid, seed, CHUNK, REACH, steps per block, and a
 # chunk (first step, steps, first contact row) that is tried clear and
-# redone folded); REACH = -inf tries every chunk clear, so a contact
+# redone reflected); REACH = -inf tries every chunk clear, so a contact
 # can fall in its first row, as none can where reach holds
 SWITCH_CASES = {
     "mid-row": (NEAR_WALL, 5, 64, 6.0, None, (320, 64, 58)),
@@ -472,37 +515,32 @@ def test_clear_and_folded_chunks_match_oracle(name, monkeypatch):
     monkeypatch.setattr(SIM_MODULE, "REACH", reach)
     if block is not None:
         monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", block * 2)
-    kept, histogram = [], np.histogram
-    passed, fold_free = [], SIM_MODULE._fold_free
+    kept, histogram, events = [], np.histogram, []
 
     def recording_histogram(a, *args, **kwargs):
         kept.append(np.array(a))
         return histogram(a, *args, **kwargs)
 
-    def recording_fold_free(*args):
-        passed.append(fold_free(*args))
-        return passed[-1]
-
     with monkeypatch.context() as m:
         m.setattr(np, "histogram", recording_histogram)
-        m.setattr(SIM_MODULE, "_fold_free", recording_fold_free)
+        record_steps(m, potential, lambda: events)
         r = simulate(cfg)
     (values, n_used, tv, positions), story = _chunk_story(
-        cfg, r.stability_margin, monkeypatch)
+        cfg, r.stability_margin)
     assert np.array_equal(np.concatenate(kept).T, positions)
     assert np.array_equal(r.histogram.values, values)
     assert r.tv_distance == tv
-    # the story matches the run: one exactness test per clear pass
-    assert passed == [row is None for _, _, tried, row in story if tried]
-    failed = [(t, n, row) for t, n, tried, row in story
-              if tried and row is not None]
+    # the story matches the run, pass by pass
+    assert step_kinds(events) == step_kinds(story=story)
+    failed = [(t, n, row) for t, n, levels, row in story
+              if levels[:2] == [0, 1]]
     if redone is not None:
         assert redone in failed
-        # clear -> contact -> folded -> clear
-        assert any(tried and row is None and t > redone[0]
-                   for t, _, tried, row in story)
-        assert any(tried and row is None and t < redone[0]
-                   for t, _, tried, row in story) or redone[0] == 0
+        # clear -> contact -> reflected -> clear
+        assert any(levels == [0] and t > redone[0]
+                   for t, _, levels, _ in story)
+        assert any(levels == [0] and t < redone[0]
+                   for t, _, levels, _ in story) or redone[0] == 0
         if block is not None:
             assert (redone[0] + redone[1]) % block == 0
     else:
@@ -511,11 +549,52 @@ def test_clear_and_folded_chunks_match_oracle(name, monkeypatch):
         assert any((t + n) % block == 0 for t, n, _ in failed)
 
 
+# a grid far narrower than a step: most chains are still outside after
+# one reflection at each wall, so chunks rerun wide; REACH = -inf tries
+# each chunk clear first
+@pytest.mark.parametrize("width,block,reach", [
+    (width, block, 6.0) for width in (1e-9, 1e-3) for block in (1, 7, 100)
+] + [(1e-3, 7, -np.inf)])
+def test_narrow_grid_runs_wide_in_bounded_time(width, block, reach,
+                                               monkeypatch):
+    potential = Normal()
+    cfg = SimConfig(potential=potential,
+                    grid=build_grid("continuous", 1.0, 1.0 + width, 3),
+                    dt=5e-3, n_steps=300, burn_in=0, n_chains=3, seed=11)
+    monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", block * 3)
+    monkeypatch.setattr(SIM_MODULE, "REACH", reach)
+    kept, histogram, events = [], np.histogram, []
+
+    def recording_histogram(a, *args, **kwargs):
+        kept.append(np.array(a))
+        return histogram(a, *args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "histogram", recording_histogram)
+        record_steps(m, potential, lambda: events)
+        began = time.perf_counter()
+        r = simulate(cfg)
+        elapsed = time.perf_counter() - began
+    (values, n_used, tv, positions), story = _chunk_story(
+        cfg, r.stability_margin)
+    assert np.array_equal(np.concatenate(kept).T, positions)
+    assert np.array_equal(r.histogram.values, values)
+    assert r.tv_distance == tv
+    assert step_kinds(events) == step_kinds(story=story)
+    if width == 1e-9:  # every chunk needs the mod rule
+        assert all(levels[-1] == 2 for _, _, levels, _ in story)
+    assert any(levels == ([0, 1, 2] if reach < 0 else [1, 2])
+               for _, _, levels, _ in story)
+    # ~20 ms on 2 vCPUs; reflecting until inside would take ~0.1 / width
+    # passes a step
+    assert elapsed < 5.0
+
+
 @pytest.mark.parametrize("fault", ["nan", "FloatingPointError"])
 def test_clear_pass_errors_rerun_folded(fault, monkeypatch):
     # a map that writes NaN below the grid, or divides by zero there, where
-    # only a clear pass steps: the folded rerun keeps the bits, and no pass
-    # warns or raises
+    # only a clear pass steps: the reflected rerun keeps the bits, and no
+    # pass warns or raises
     potential, grid = NEAR_WALL
     scaled, hit = Normal.scaled_intensity, []
 
@@ -544,7 +623,7 @@ def test_clear_pass_errors_rerun_folded(fault, monkeypatch):
 def test_poisson_clear_pass_below_its_support_matches_oracle(monkeypatch):
     # every chunk is tried clear, so chains by the wall at 0 step below
     # x = -1, where the unchecked psi(x + 1) throws them far down and then
-    # gives NaN; each such pass ends, fails the proof and reruns folded
+    # gives NaN; each such pass ends, fails the proof and reruns reflected
     cfg = SimConfig(potential=Poisson(0.5),
                     grid=build_grid("continuous", 0, 6, 25), dt=0.1,
                     n_steps=300, burn_in=0, n_chains=3, seed=1)
@@ -736,46 +815,46 @@ def test_worker_pin_leaves_out_the_callers_cpu(allowed, stat, pin,
 
 def test_concurrent_runs_under_fast_switching_match_oracle(monkeypatch):
     # four callers and their four workers, switching every microsecond;
-    # blocks of 100 steps run as chunks of 64 and 36, clear and folded
+    # blocks of 100 steps run as chunks of 64 and 36, clear and reflected
     potential, grid = NEAR_WALL
     configs = [SimConfig(potential=potential, grid=grid, dt=5e-3,
                          n_steps=600, burn_in=50, n_chains=3, seed=seed)
                for seed in range(4)]
-    references = [_reference_simulate(cfg) for cfg in configs]
-    local, results, verdicts = threading.local(), {}, []
-    histogram, fold_free = np.histogram, SIM_MODULE._fold_free
+    local, results, histogram = threading.local(), {}, np.histogram
 
     def recording_histogram(a, *args, **kwargs):
         local.kept.append(np.array(a))
         return histogram(a, *args, **kwargs)
 
-    def recording_fold_free(*args):
-        verdicts.append(fold_free(*args))
-        return verdicts[-1]
-
     def run(cfg):
-        local.kept = []
-        results[cfg.seed] = simulate(cfg), local.kept
+        local.kept, local.events = [], []
+        results[cfg.seed] = simulate(cfg), local.kept, local.events
 
-    monkeypatch.setattr(np, "histogram", recording_histogram)
-    monkeypatch.setattr(SIM_MODULE, "_fold_free", recording_fold_free)
     monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", 3 * 100)
     interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        callers = [threading.Thread(target=run, args=(cfg,), daemon=True)
-                   for cfg in configs]
-        for caller in callers:
-            caller.start()
-        for caller in callers:
-            caller.join(timeout=60)
-            assert not caller.is_alive()
-    finally:
-        sys.setswitchinterval(interval)
-    assert True in verdicts and False in verdicts
-    for cfg, (values, n_used, tv, positions) in zip(configs, references):
-        r, kept = results[cfg.seed]
+    with monkeypatch.context() as m:
+        m.setattr(np, "histogram", recording_histogram)
+        record_steps(m, potential, lambda: local.events)
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=run, args=(cfg,), daemon=True)
+                       for cfg in configs]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+                assert not caller.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+    passes = []
+    for cfg in configs:
+        r, kept, events = results[cfg.seed]
+        (values, n_used, tv, positions), story = _chunk_story(
+            cfg, r.stability_margin)
         assert len(kept) == 6
         assert np.array_equal(np.concatenate(kept).T, positions)
         assert np.array_equal(r.histogram.values, values)
         assert r.n_samples_used == n_used and r.tv_distance == tv
+        assert step_kinds(events) == step_kinds(story=story)
+        passes += [levels for _, _, levels, _ in story]
+    assert [0] in passes and [0, 1] in passes
