@@ -31,6 +31,7 @@ import json
 import math
 import re
 from contextlib import contextmanager
+from dataclasses import fields
 from itertools import chain
 
 import numpy as np
@@ -354,23 +355,17 @@ def parse_potential(obj: dict):
 
 
 def parse_sim_config(obj: dict) -> SimConfig:
-    _check_fields(obj, {"kind", "potential", "grid", "dt", "n_steps",
-                        "burn_in", "n_chains", "seed"}, "sim_config")
-    for name in ("potential", "grid"):  # a nested spec may omit its kind
+    names = [f.name for f in fields(SimConfig)]
+    _check_fields(obj, {"kind", *names}, "sim_config")
+    nested = {"potential": parse_potential, "grid": parse_grid}
+    for name in nested:  # a nested spec may omit its kind
         spec = obj.get(name)
         if isinstance(spec, dict) and spec.get("kind", name) != name:
             raise FormatError(f"sim_config: the {name} spec has kind "
                               f"{spec['kind']!r}")
-    with _spec_errors("sim_config"):
-        return SimConfig(
-            potential=parse_potential(obj["potential"]),
-            grid=parse_grid(obj["grid"]),
-            dt=obj["dt"],
-            n_steps=obj["n_steps"],
-            burn_in=obj["burn_in"],
-            n_chains=obj["n_chains"],
-            seed=obj["seed"],
-        )
+    with _spec_errors("sim_config"):  # the first missing field in order
+        return SimConfig(**{name: nested[name](obj[name]) if name in nested
+                            else obj[name] for name in names})
 
 
 def load_spec(path, kind: str) -> dict:

@@ -13,17 +13,18 @@ every chain without per-chain generators (Salmon et al., SC'11); a chain's
 path therefore depends on ``n_chains``.
 
 Noise is drawn and visits are counted in blocks of steps, in two buffers
-of BLOCK_ELEMENTS floats, so memory is O(chains x block + points).  A worker
-thread, one per call, fills the next block's buffer with its kicks, amp xi,
-in the stream's (C) order while the caller steps this one; blocks come
-back in order and counts are integers, so no bit depends on the block
-size or the thread.  The step loop's calls on one float per chain never
-release the GIL, so the caller sleeps 0 s after each hand-off and the
-worker takes it to start its draw, which runs without it.  The worker pins
-itself off the caller's current CPU (field 39 of its /proc stat) unless
-that is the only one allowed or /proc or the affinity calls are missing;
-the caller's affinity never changes.  The caller raises the worker's
-errors and joins it on every exit.
+of BLOCK_ELEMENTS floats, so memory is O(chains x block + points).  A
+one-thread executor, one per call, draws the kicks, amp xi, in the stream's
+(C) order: the caller takes block k's result, submits block k + 1 into the
+other buffer (block k - 1's, already counted) and steps block k while it is
+drawn.  Blocks come back in order and counts are integers, so no bit
+depends on the block size or the thread.  The step loop's calls on one
+float per chain never release the GIL, so the caller sleeps 0 s after each
+submit and the worker takes it to start its draw, which runs without it.
+The worker pins itself off the caller's current CPU (field 39 of its /proc
+stat) unless that is the only one allowed or /proc or the affinity calls
+are missing; the caller's affinity never changes.  A draw's error is raised
+in the caller by its result, and leaving the executor joins the worker.
 
 Step t writes x + dt E_c(x) into y, adds row t's kicks and, by
 ``_reflect``, reflects y once at each wall over the row, the identity on
@@ -107,28 +108,17 @@ def _reflect(y, twice_lower, twice_upper, z, out):
     return np.minimum(np.subtract(twice_upper, out, z), out, out=out)
 
 
-def _draw(rng, paths, starts, n_steps, amp, caller, free, ready, box):
-    """The worker: block k's kicks, amp xi, into paths[k % 2] once
-    the caller frees it; an error goes into box for the caller to raise."""
+def _pin(caller):
+    """Pin this thread off the caller's current CPU, field 39 of its stat,
+    if the caller may use others."""
     try:
-        try:  # off the caller's CPU, field 39 of its stat, if it has others
-            with open(f"/proc/self/task/{caller}/stat", "rb") as stat:
-                cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
-            others = os.sched_getaffinity(0) - {cpu}
-            if others:
-                os.sched_setaffinity(0, others)  # this thread alone
-        except (AttributeError, OSError):  # no affinity calls or no /proc
-            pass
-        for k, start in enumerate(starts):
-            free.acquire()
-            if box:  # the caller has stopped
-                return
-            kicks = rng.standard_normal(out=paths[k % 2, :n_steps - start])
-            np.multiply(kicks, amp, kicks)
-            ready.release()
-    except BaseException as exc:
-        box.append(exc)
-        ready.release()
+        with open(f"/proc/self/task/{caller}/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)  # this thread alone
+    except (AttributeError, OSError):  # no affinity calls or no /proc
+        pass
 
 
 def simulate(config: SimConfig) -> SimResult:
@@ -172,18 +162,24 @@ def simulate(config: SimConfig) -> SimResult:
     reach = margin + REACH * amp  # it sets the speed alone, not the bits
     near, far = lower + reach, upper - reach
     lo, hi = x.min(), x.max()
-    free, ready, box = threading.Semaphore(2), threading.Semaphore(0), []
     starts = range(0, config.n_steps, block)
-    worker = threading.Thread(target=_draw, daemon=True, args=(
-        rng, paths, starts, config.n_steps, amp,
-        threading.get_native_id(), free, ready, box))
-    worker.start()
-    try:
+
+    def draw(out):  # a block's kicks, amp xi, on the worker
+        return np.multiply(rng.standard_normal(out=out), amp, out)
+
+    # imported here: concurrent.futures pulls in logging, ~11 ms of start-up
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(1, initializer=_pin,
+                            initargs=(threading.get_native_id(),)) as worker:
+        pending = worker.submit(draw, paths[0])
         for k, start in enumerate(starts):
-            ready.acquire()
-            if box:
-                raise box[0]
-            kicks = paths[k % 2, :config.n_steps - start]  # the last is short
+            kicks = pending.result()  # raises the worker's error
+            if start + block < config.n_steps:
+                # block k + 1 (the last is short) into block k - 1's buffer,
+                # which is already counted
+                pending = worker.submit(
+                    draw, paths[1 - k % 2, :config.n_steps - start - block])
+                time.sleep(0)  # hand the GIL to the worker, which then draws
             for c in range(0, len(kicks), CHUNK):
                 rows, x0 = kicks[c:c + CHUNK], x
                 saved = rows.copy()  # the kicks, for a rerun
@@ -212,12 +208,6 @@ def simulate(config: SimConfig) -> SimResult:
             # burn-in may end mid-block; integer counts merge exactly
             skip = max(0, config.burn_in - start)
             counts += np.histogram(kicks[skip:], bins=edges)[0]
-            free.release()
-            time.sleep(0)  # hand the GIL to the worker, which then draws
-    finally:
-        box.append(None)  # stops the worker at its next buffer
-        free.release()
-        worker.join()
     hist = EquilibriumDensity.from_table(
         grid, counts / (counts.sum() * grid.weights))
 

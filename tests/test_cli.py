@@ -184,13 +184,13 @@ def test_catalog_out_of_memory_exits_2(tmp_path, capsys, monkeypatch):
 
 
 def test_cli_import_loads_no_scipy():
-    # nor fractions or decimal, and it builds none of the table writer's
-    # constants: they are built on the first write
+    # nor fractions, decimal, concurrent or logging, and it builds none of
+    # the table writer's constants: they are built on the first write
     src = Path(equilib.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src))
     code = ("import sys, equilib.cli; print(sorted(m for m in sys.modules "
-            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal')), "
-            "equilib.io._TABLES)")
+            "if m.split('.')[0] in ('scipy', 'fractions', 'decimal', "
+            "'concurrent', 'logging')), equilib.io._TABLES)")
     done = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                           capture_output=True, text=True)
     assert done.stdout.strip() == "[] None"

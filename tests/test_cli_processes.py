@@ -100,7 +100,7 @@ LONG_RUN = {"n_steps": 10000, "burn_in": 1000, "n_chains": 128}
 # name: (potential, grid and run fields over BASE, bound on tv_distance)
 SIM_CONFIGS = {
     "double_well": (DOUBLE_WELL, {}, {}, None),
-    # more chains than BLOCK_ELEMENTS (131 072): one-step blocks, all
+    # more chains than BLOCK_ELEMENTS (65 536): one-step blocks, all
     # chains drawing from one stream
     "wide": (DOUBLE_WELL, {},
              {"n_steps": 3, "burn_in": 0, "n_chains": 140000}, None),

@@ -15,9 +15,9 @@ from hypothesis import strategies as st
 
 from equilib import (EquilibriumDensity, Exponential, Gamma, GridError,
                      LinearConstant, Normal, PearsonPotential, Poisson,
-                     PolynomialPotential, SimConfig, StabilityError,
-                     TabulatedPotential, UniformLattice, build_grid,
-                     normalize, simulate, tv_distance)
+                     PolynomialPotential, SimConfig, SimResult,
+                     StabilityError, TabulatedPotential, UniformLattice,
+                     build_grid, normalize, simulate, tv_distance)
 from equilib.potential import causal_intensity
 
 SIM_MODULE = importlib.import_module("equilib.simulate")
@@ -730,7 +730,7 @@ class FailingGenerator(np.random.Generator):
         raise MemoryError("Unable to allocate the kicks")
 
 
-@pytest.mark.parametrize("side", ["worker", "caller"])
+@pytest.mark.parametrize("side", ["worker", "caller", "none"])
 def test_errors_reach_the_caller_and_the_worker_is_joined(side,
                                                           monkeypatch):
     def interrupted(*args, **kwargs):
@@ -738,23 +738,24 @@ def test_errors_reach_the_caller_and_the_worker_is_joined(side,
 
     def run():
         try:
-            simulate(harmonic_config(n_steps=100, burn_in=0))
+            caught.append(simulate(harmonic_config(n_steps=100, burn_in=0)))
         except BaseException as exc:  # KeyboardInterrupt too
             caught.append(exc)
 
     threads, caught = threading.active_count(), []
     if side == "worker":
         monkeypatch.setattr(np.random, "Generator", FailingGenerator)
-    else:  # the caller fails after stepping its first block
+    elif side == "caller":  # the caller fails after stepping its first block
         monkeypatch.setattr(np, "histogram", interrupted)
     monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", 8 * 10)
     caller = threading.Thread(target=run, daemon=True)
     caller.start()
     caller.join(timeout=30)  # a worker that is never joined hangs it
     assert not caller.is_alive()
-    [error] = caught
-    assert type(error) is (MemoryError if side == "worker"
-                           else KeyboardInterrupt)
+    [outcome] = caught
+    assert type(outcome) is {"worker": MemoryError,
+                             "caller": KeyboardInterrupt,
+                             "none": SimResult}[side]
     assert threading.active_count() == threads
 
 
