@@ -5,7 +5,8 @@ is deterministic (randomness only enters through explicit seeds) and
 machine readable; see io.py for the file formats.
 
 Exit codes: 0 success, 2 input/precondition error, 3 infeasible problem.
-A command that fails removes the output files it has already written.
+A command that fails removes every regular file it wrote, a partly written
+one included, and never a symlink, device or FIFO.
 The parser is built once per process, on the first ``main``.
 """
 
@@ -16,7 +17,6 @@ import functools
 import re
 import sys
 from dataclasses import fields
-from pathlib import Path
 
 import numpy as np
 
@@ -72,7 +72,7 @@ def _write_outputs(*outputs):
                 written.append(path)
     except BaseException:
         for path in written:
-            Path(path).unlink(missing_ok=True)
+            io.remove_written(path)
         raise
 
 

@@ -89,9 +89,8 @@ def _histogram_density(samples, grid: Grid, bins: int) -> np.ndarray:
     counts, edges = np.histogram(samples, bins=bins,
                                  range=(grid.lower, grid.upper))
     width = edges[1] - edges[0]
-    idx = np.clip(((grid.points - grid.lower) / width).astype(int),
-                  0, bins - 1)
-    return counts[idx] / (samples.size * width)
+    return np.interp(grid.points, edges[:-1] + width / 2,  # frequency polygon
+                     counts / (samples.size * width))
 
 
 def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from contextlib import contextmanager
 from dataclasses import fields
@@ -49,6 +50,23 @@ TABLE_COLUMNS = ("x", "f", "U", "U_tilde", "E_s", "E_c", "residual", "mask")
 # CSV tables
 
 
+def remove_written(path):
+    """Remove path if it is a regular file: never a symlink, device or FIFO."""
+    if os.path.isfile(path) and not os.path.islink(path):
+        os.unlink(path)
+
+
+@contextmanager
+def _output(path, *args, **kwargs):  # closed and removed if a write raises
+    fh = open(path, *args, **kwargs)  # a failed open removes nothing
+    try:
+        with fh:
+            yield fh
+    except BaseException:
+        remove_written(path)
+        raise
+
+
 # rows formatted at once: ~4k cells, whose temporaries total ~1 MB
 _SLICE_ROWS = 1024
 
@@ -63,7 +81,7 @@ def write_table(path, columns: dict):
     if not arrays or any(a.ndim != 1 or a.size != arrays[0].size
                          for a in arrays):
         raise FormatError("table columns must be 1-D and of equal length")
-    with open(path, "wb") as fh:
+    with _output(path, "wb") as fh:
         fh.write((",".join(names) + "\n").encode())
         for start in range(0, arrays[0].size, _SLICE_ROWS):
             block = np.array([a[start:start + _SLICE_ROWS] for a in arrays],
@@ -383,5 +401,5 @@ def load_spec(path, kind: str) -> dict:
 def dump_json(path, obj: dict):
     """Write strict JSON; a NaN or infinity raises before the file opens."""
     text = json.dumps(obj, allow_nan=False, indent=2, sort_keys=True)
-    with open(path, "w", newline="\n") as fh:
+    with _output(path, "w", newline="\n") as fh:
         fh.write(text + "\n")

@@ -21,10 +21,8 @@ drawn.  Blocks come back in order and counts are integers, so no bit
 depends on the block size or the thread.  The step loop's calls on one
 float per chain never release the GIL, so the caller sleeps 0 s after each
 submit and the worker takes it to start its draw, which runs without it.
-The worker pins itself off the caller's current CPU (field 39 of its /proc
-stat) unless that is the only one allowed or /proc or the affinity calls
-are missing; the caller's affinity never changes.  A draw's error is raised
-in the caller by its result, and leaving the executor joins the worker.
+A draw's error is raised in the caller by its result, and leaving the
+executor joins the worker.
 
 Step t writes x + dt E_c(x) into y, adds row t's kicks and, by
 ``_reflect``, reflects y once at each wall over the row, the identity on
@@ -41,8 +39,6 @@ support gives NaN or inf, which fail the proof.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
 from dataclasses import dataclass
 
@@ -108,19 +104,6 @@ def _reflect(y, twice_lower, twice_upper, z, out):
     return np.minimum(np.subtract(twice_upper, out, z), out, out=out)
 
 
-def _pin(caller):
-    """Pin this thread off the caller's current CPU, field 39 of its stat,
-    if the caller may use others."""
-    try:
-        with open(f"/proc/self/task/{caller}/stat", "rb") as stat:
-            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
-        others = os.sched_getaffinity(0) - {cpu}
-        if others:
-            os.sched_setaffinity(0, others)  # this thread alone
-    except (AttributeError, OSError):  # no affinity calls or no /proc
-        pass
-
-
 def simulate(config: SimConfig) -> SimResult:
     """Run the chains and compare the histogram with the Boltzmann density."""
     grid = config.grid
@@ -169,8 +152,7 @@ def simulate(config: SimConfig) -> SimResult:
 
     # imported here: concurrent.futures pulls in logging, ~11 ms of start-up
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1, initializer=_pin,
-                            initargs=(threading.get_native_id(),)) as worker:
+    with ThreadPoolExecutor(1) as worker:
         pending = worker.submit(draw, paths[0])
         for k, start in enumerate(starts):
             kicks = pending.result()  # raises the worker's error

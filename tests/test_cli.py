@@ -1170,6 +1170,58 @@ def test_failed_second_output_removes_the_first(tmp_path, capsys, command):
     assert len(list((tmp_path / "missing").iterdir())) == 1
 
 
+@pytest.mark.parametrize("command", ["catalog", "maxent"])
+def test_cleanup_removes_a_partly_written_output(tmp_path, capsys,
+                                                 monkeypatch, command):
+    # the table's second slice of rows fails after the first was written
+    cells, calls = io._cells, []
+
+    def failing(v):
+        calls.append(v.size)
+        if len(calls) == 2:
+            raise MemoryError("Unable to allocate the cells")
+        return cells(v)
+
+    monkeypatch.setattr(io, "_cells", failing)
+    argv = {
+        "catalog": ["catalog", "--family", "normal", "--out",
+                    tmp_path / "n.csv"],
+        "maxent": ["maxent", "--u", "x", "--moment", 0.5, "--lower", 0,
+                   "--upper", 10, "--points", 2001, "--out",
+                   tmp_path / "m.json", "--table", tmp_path / "t.csv"],
+    }[command]
+    assert run(*argv) == 2
+    assert _one_line_error(capsys)
+    assert len(calls) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cleanup_keeps_a_file_whose_open_failed(tmp_path, monkeypatch):
+    out = tmp_path / "t.csv"
+    out.write_text("x\n1\n")
+
+    def failing_open(*args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(out))
+
+    monkeypatch.setattr(io, "open", failing_open, raising=False)
+    with pytest.raises(PermissionError):
+        io.write_table(out, {"x": np.arange(3.0)})
+    with pytest.raises(PermissionError):
+        io.dump_json(out, {"kind": "report"})
+    assert out.read_text() == "x\n1\n"
+
+
+def test_cleanup_never_removes_a_symlink(tmp_path, capsys):
+    # the first output is a link to the null device; the second fails
+    link = tmp_path / "link"
+    link.symlink_to(os.devnull)
+    assert run("maxent", "--u", "x", "--moment", 0.5, "--lower", 0,
+               "--upper", 10, "--points", 101, "--out", link, "--table",
+               tmp_path / "missing" / "t.csv") == 2
+    assert _one_line_error(capsys)
+    assert link.is_symlink() and os.readlink(link) == os.devnull
+
+
 # ---------------------------------------------------------------------------
 # one parser per process
 

@@ -157,6 +157,22 @@ def test_histogram_decomposition_recovers_constant_intensity():
     assert report.n_out_of_range > 0  # Exp(1) tail beyond 9.95
 
 
+@pytest.mark.parametrize("bins", [50, 100])
+@pytest.mark.parametrize("sigma", [0.7, 1.5])
+def test_histogram_slope_is_unbiased_at_few_bins(sigma, bins):
+    # the 10 000 midpoint quantiles of N(1, sigma^2) on mu +- 5 sigma: a
+    # bin's height held flat over the bin missed 1/sigma^2 by +4.0 % at 50
+    # bins and -7.8 % at 100; the frequency polygon's miss is below 1 %
+    dist = statistics.NormalDist(1.0, sigma)
+    samples = np.array([dist.inv_cdf((i + 0.5) / 10_000)
+                        for i in range(10_000)])
+    grid = build_grid("continuous", 1 - 5 * sigma, 1 + 5 * sigma, 2001)
+    report = decompose_samples(samples, grid, estimator="histogram",
+                               bins=bins)
+    slope, _ = fit_linear_intensity(report)
+    assert slope * sigma ** 2 == pytest.approx(1.0, rel=0.01)
+
+
 def test_decomposition_of_exact_quantiles():
     # inverse-CDF deciles of the standard normal at n = 1e5 act as an
     # idealized sample; the revealed intensity is the linear one

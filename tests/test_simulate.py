@@ -1,6 +1,4 @@
 import importlib
-import io
-import os
 import sys
 import threading
 import time
@@ -757,61 +755,6 @@ def test_errors_reach_the_caller_and_the_worker_is_joined(side,
                              "caller": KeyboardInterrupt,
                              "none": SimResult}[side]
     assert threading.active_count() == threads
-
-
-@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
-                    reason="no thread affinity calls")
-def test_worker_pins_itself_and_never_the_caller(monkeypatch):
-    pins, setaffinity = [], os.sched_setaffinity
-
-    def recording(pid, cpus):
-        pins.append((threading.get_ident(), set(cpus)))
-        setaffinity(pid, cpus)
-
-    monkeypatch.setattr(os, "sched_setaffinity", recording)
-    allowed = os.sched_getaffinity(0)
-    simulate(harmonic_config(n_steps=1000, burn_in=0))
-    assert os.sched_getaffinity(0) == allowed
-    if len(allowed) == 1:
-        assert pins == []
-    else:
-        [(thread, cpus)] = pins
-        assert thread != threading.get_ident()
-        assert cpus < allowed and len(cpus) == len(allowed) - 1
-
-
-def _stat(*args):
-    """The caller's stat line, field n reading n; the command name in
-    parentheses holds spaces and a ')'."""
-    return io.BytesIO(("7 (a) b c) " + " ".join(map(str, range(3, 53))))
-                      .encode())
-
-
-def _no_proc(*args):
-    raise FileNotFoundError("/proc/self/task")
-
-
-@pytest.mark.parametrize("allowed,stat,pin", [
-    ({38, 39, 40}, _stat, {38, 40}),  # field 39: the caller is on CPU 39
-    ({39}, _stat, None),  # the caller's one CPU
-    ({38, 39, 40}, _no_proc, None),
-    (None, _stat, None),  # no affinity calls
-])
-def test_worker_pin_leaves_out_the_callers_cpu(allowed, stat, pin,
-                                               monkeypatch):
-    pins = []
-    monkeypatch.setattr(SIM_MODULE, "open", stat, raising=False)
-    if allowed is None:
-        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed,
-                            raising=False)
-    monkeypatch.setattr(os, "sched_setaffinity",
-                        lambda pid, cpus: pins.append((pid, cpus)),
-                        raising=False)
-    r = simulate(harmonic_config(n_steps=100, burn_in=0))
-    assert r.n_samples_used == 8 * 100
-    assert pins == ([] if pin is None else [(0, pin)])
 
 
 def test_concurrent_runs_under_fast_switching_match_oracle(monkeypatch):
