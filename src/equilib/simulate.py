@@ -15,14 +15,13 @@ path therefore depends on ``n_chains``.
 Noise is drawn and visits are counted in blocks of steps, in two buffers
 of BLOCK_ELEMENTS floats, so memory is O(chains x block + points).  A
 one-thread executor, one per call, draws the kicks, amp xi, in the stream's
-(C) order: the caller takes block k's result, submits block k + 1 into the
-other buffer (block k - 1's, already counted) and steps block k while it is
+(C) order: the caller queues block k + 1 into the other buffer (block
+k - 1's, already counted) before it takes block k's result, so the worker
+starts each draw as the last one ends, and steps block k while k + 1 is
 drawn.  Blocks come back in order and counts are integers, so no bit
-depends on the block size or the thread.  The step loop's calls on one
-float per chain never release the GIL, so the caller sleeps 0 s after each
-submit and the worker takes it to start its draw, which runs without it.
-A draw's error is raised in the caller by its result, and leaving the
-executor joins the worker.
+depends on the block size or the thread.  A draw's error is raised in the
+caller by its result, and leaving the executor joins the worker after at
+most the one queued draw.
 
 Step t writes x + dt E_c(x) into y, adds row t's kicks and, by
 ``_reflect``, reflects y once at each wall over the row, the identity on
@@ -39,7 +38,6 @@ support gives NaN or inf, which fail the proof.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -153,15 +151,14 @@ def simulate(config: SimConfig) -> SimResult:
     # imported here: concurrent.futures pulls in logging, ~11 ms of start-up
     from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(1) as worker:
-        pending = worker.submit(draw, paths[0])
+        pending = [worker.submit(draw, paths[0])]
         for k, start in enumerate(starts):
-            kicks = pending.result()  # raises the worker's error
             if start + block < config.n_steps:
                 # block k + 1 (the last is short) into block k - 1's buffer,
-                # which is already counted
-                pending = worker.submit(
-                    draw, paths[1 - k % 2, :config.n_steps - start - block])
-                time.sleep(0)  # hand the GIL to the worker, which then draws
+                # already counted, queued behind block k
+                pending.append(worker.submit(
+                    draw, paths[1 - k % 2, :config.n_steps - start - block]))
+            kicks = pending.pop(0).result()  # raises the worker's error
             for c in range(0, len(kicks), CHUNK):
                 rows, x0 = kicks[c:c + CHUNK], x
                 saved = rows.copy()  # the kicks, for a rerun

@@ -88,19 +88,33 @@ def test_catalog_normal_subnormal_sigma_squared_exits_2(tmp_path, capsys,
 
 
 def test_catalog_normal_far_tail_is_quiet(tmp_path, capsys):
-    # sigma**2 is normal but (x - mu)**2 / sigma**2 is not: U_tilde and E_c
-    # are +-inf past the first row, which this run wrote after two overflow
-    # warnings
+    # sigma**2 is normal but (x - mu)**2 / sigma**2 is not: f = 0 at every
+    # point and U_tilde and E_c +-inf past the first row, which this run
+    # wrote with exit 0, first after two overflow warnings and then quietly
     out = tmp_path / "n.csv"
     assert run("catalog", "--family", "normal", "--sigma", "1e-150",
                "--lower", 1, "--upper", "1e160", "--points", 5,
-               "--out", out) == 0
-    assert capsys.readouterr().err == ""
-    table = io.read_table(out)
-    assert table["f"].tolist() == [0.0] * 5
-    assert np.isfinite(table["U_tilde"][0]) and np.isfinite(table["E_c"][0])
-    assert table["U_tilde"][1:].tolist() == [np.inf] * 4
-    assert table["E_c"][1:].tolist() == [-np.inf] * 4
+               "--out", out) == 3
+    assert capsys.readouterr().err == ZERO_MASS
+    assert not out.exists()
+
+
+ZERO_MASS = "error: density has zero or non-finite mass (0.0) on this grid\n"
+
+
+# the density underflows to f = 0 at every point of the grid, which these
+# runs wrote with exit 0
+@pytest.mark.parametrize("args", [
+    ["normal", "--sigma", "1e-3", "--lower", 10, "--upper", 20,
+     "--points", 5],
+    ["poisson", "--lam", 3, "--grid-kind", "lattice", "--lower", 1000,
+     "--upper", 1010, "--points", 11],
+], ids=["normal", "poisson"])
+def test_catalog_zero_mass_exits_3(tmp_path, capsys, args):
+    out = tmp_path / "t.csv"
+    assert run("catalog", "--family", *args, "--out", out) == 3
+    assert capsys.readouterr().err == ZERO_MASS
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("family, params, grid", [

@@ -802,3 +802,38 @@ def test_concurrent_runs_under_fast_switching_match_oracle(monkeypatch):
         assert step_kinds(events) == step_kinds(story=story)
         passes += [levels for _, _, levels, _ in story]
     assert [0] in passes and [0, 1] in passes
+
+
+def test_next_block_is_queued_before_this_one_is_taken(monkeypatch):
+    # five blocks of 23, 23, 23, 23 and 8 steps: block k + 1's draw is
+    # submitted before block k's result is taken, so the worker never
+    # waits for the caller to start a draw
+    from concurrent import futures
+    events = []
+
+    class RecordingExecutor(futures.ThreadPoolExecutor):
+        def submit(self, fn, out):
+            block = sum(kind == "submit" for kind, _, _ in events)
+            events.append(("submit", block, len(out)))
+            future = super().submit(fn, out)
+            result = future.result
+
+            def recording_result(timeout=None):
+                events.append(("result", block, None))
+                return result(timeout)
+            future.result = recording_result
+            return future
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", RecordingExecutor)
+    monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", 3 * 23)
+    cfg = SimConfig(potential=NEAR_WALL[0], grid=NEAR_WALL[1], dt=5e-3,
+                    n_steps=100, burn_in=30, n_chains=3, seed=5)
+    r = simulate(cfg)
+    assert events == [
+        ("submit", 0, 23), ("submit", 1, 23), ("result", 0, None),
+        ("submit", 2, 23), ("result", 1, None),
+        ("submit", 3, 23), ("result", 2, None),
+        ("submit", 4, 8), ("result", 3, None), ("result", 4, None)]
+    values, n_used, tv, _ = _reference_simulate(cfg)
+    assert np.array_equal(r.histogram.values, values)
+    assert r.n_samples_used == n_used and r.tv_distance == tv
