@@ -92,12 +92,7 @@ def cmd_catalog(args) -> int:
         u = family.normalized_potential(x)
         columns = {"x": x, "f": np.exp(-u), "U_tilde": u,
                    "E_c": family.intensity(x)}
-        mass = grid.quadrature(columns["f"])
-    # not from_table, which also rejects a subnormal mass: dividing by it
-    # does not give a table of mass 1
-    if not (mass > 0.0 and np.isfinite(mass)):
-        raise NonNormalizableError(
-            f"density has zero or non-finite mass ({mass}) on this grid")
+    EquilibriumDensity.from_table(grid, columns["f"])  # raises if no mass
     io.write_table(args.out, columns)
     return EXIT_OK
 

@@ -108,8 +108,8 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     h = grid.spacing
     n = grid.n_points
     kept = samples[np.isfinite(samples)]
-    outside = np.max(np.maximum(grid.lower - kept, kept - grid.upper),
-                     initial=0.0)
+    off = np.maximum(grid.lower - kept, kept - grid.upper)
+    outside = np.max(off[off <= KERNEL_REACH * bandwidth], initial=0.0)
     pad = int(np.ceil(min(KERNEL_REACH * bandwidth,
                           grid.upper - grid.lower + outside) / h))
     size = n + 2 * pad

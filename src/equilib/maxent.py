@@ -11,6 +11,7 @@ the midpoint; the loop ends when that is an end, as no float is left.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -95,14 +96,17 @@ def solve_maxent(p: MaxEntProblem) -> MaxEntSolution:
             f"({umin}, {umax})"
         )
 
-    # moments of d = u - min u, so an offset in u does not cancel
-    d = uvals - umin
-    target = p.target_moment - umin
+    # moments of d = (u - min u) 2^-e, so an offset in u does not cancel
+    # and Var[d] is finite; the power of two is exact and e = 0 below 2^511
+    e = max(0, math.frexp(umax - umin)[1] - 511)
+    d = (uvals - umin) * 2.0 ** -e
+    target = math.ldexp(p.target_moment - umin, -e)
+    tol = math.ldexp(p.tol, -e)
     lam, lo, hi = 0.0, -np.inf, np.inf
     mean, var, f = _moment_and_var(lam, d, p.grid)
     g = mean - target
     iterations = 0
-    while iterations < p.max_iter and abs(g) > p.tol:
+    while iterations < p.max_iter and abs(g) > tol:
         # E_lambda[d] falls as lambda grows: g > 0 means lambda is too small
         if g > 0:
             lo = lam
@@ -121,16 +125,17 @@ def solve_maxent(p: MaxEntProblem) -> MaxEntSolution:
         mean, var, f = _moment_and_var(lam, d, p.grid)
         g = mean - target
 
-    converged = abs(g) <= p.tol
+    converged = abs(g) <= tol
     upot = normalized_potential(
         TabulatedPotential(grid=p.grid, values=lam * d), p.grid
     )
+    lam = math.ldexp(lam, -e)
     return MaxEntSolution(
         lam=lam,
         # ln Omega of e^(-lambda u) = ln Omega of e^(-lambda d) - lambda min u
         density=replace(f, log_omega=f.log_omega - lam * umin),
         normalized_potential=upot,
         iterations=iterations,
-        residual=abs(g),
+        residual=math.ldexp(abs(g), e),
         converged=converged,
     )

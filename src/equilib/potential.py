@@ -173,12 +173,17 @@ class EquilibriumDensity(_Table):
 
     @classmethod
     def from_table(cls, grid: Grid, values) -> "EquilibriumDensity":
-        """Normalize a raw non-negative table, in the gauge log_omega = 0."""
+        """Normalize a raw table, which is a density up to scale."""
         values = np.asarray(values, dtype=float)
-        total = grid.quadrature(values)
-        if not (total > 0.0 and np.isfinite(total)):
-            raise NonNormalizableError(
-                f"table has zero or non-finite mass ({total})")
+        with np.errstate(over="ignore"):
+            total = grid.quadrature(values)
+        if not DENSITY_FLOOR_ABS <= total < np.inf:  # tiny or inf: rescale
+            peak = np.max(values)
+            if not 0.0 < peak < np.inf:
+                raise NonNormalizableError("density has zero or non-finite "
+                                           f"mass ({total}) on this grid")
+            values = values / peak
+            total = grid.quadrature(values)
         return cls(grid=grid, values=values / total, log_omega=0.0)
 
 

@@ -1,4 +1,5 @@
-"""The CLI contract as a property: ``simulate``.
+"""The CLI contract as a property: ``simulate``, and ``catalog`` into
+``transform``.
 
 Every input ends in exit 0, 2 or 3.  A failure prints exactly one
 ``error: ...`` line and writes no output file; a success writes strict
@@ -7,12 +8,21 @@ are drawn from the ``SimConfig`` fields and the ``SPECS`` registry of
 potential specs (the families, Pearson with either sign and polynomial
 coefficients), with at most one field broken per config, and stay within
 64 chains x 200 steps so that the module runs in seconds.
+
+Every table that ``catalog`` writes is a density to ``transform``, which
+maps it to a potential, an intensity and a density of mass 1 with exit 0
+and nothing on stderr; only the intensity of a density too steep for its
+floor on every pair of neighbours may be undefined (exit 2).  The
+families' fields are drawn over ordinary and extreme values (a subnormal
+Gamma shape, masses that underflow or overflow) on grids of at most 41
+points.  Every warning is an error.
 """
 
 import contextlib
 import dataclasses
 import io as stdio
 import json
+import math
 import os
 import tempfile
 import warnings
@@ -22,7 +32,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from equilib import cli, io
-from equilib.catalog import SPECS
+from equilib.catalog import FAMILIES, SPECS
 
 JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
                  st.lists(st.integers(0, 3), max_size=2),
@@ -145,6 +155,16 @@ def _reject_constant(name):
     raise ValueError(f"non-standard JSON constant {name}")
 
 
+def _main(*argv):
+    """Exit code and stderr of ``cli.main(argv)``, every warning an error."""
+    err = stdio.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(stdio.StringIO()):
+        warnings.simplefilter("error")
+        code = cli.main([str(arg) for arg in argv])
+    return code, err.getvalue()
+
+
 @settings(max_examples=150, deadline=None, derandomize=True)
 @given(sim_configs())
 @example(VALID)
@@ -160,13 +180,8 @@ def test_simulate_honours_the_cli_contract(config):
                            ("sim.json", "result.json", "hist.csv"))
         with open(path, "w") as fh:
             json.dump(config, fh)
-        err = stdio.StringIO()
-        with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
-                contextlib.redirect_stdout(stdio.StringIO()):
-            warnings.simplefilter("error")
-            code = cli.main(["simulate", "--config", path, "--out", out,
-                             "--hist", hist])
-        err = err.getvalue()
+        code, err = _main("simulate", "--config", path, "--out", out,
+                          "--hist", hist)
         if code != 0:
             assert code in (2, 3)
             assert err.startswith("error: ") and err.count("\n") == 1, err
@@ -179,3 +194,98 @@ def test_simulate_honours_the_cli_contract(config):
         assert result["n_samples_used"] == config["n_chains"] * (
             config["n_steps"] - config["burn_in"])
         assert not np.isnan(io.read_table(hist)["f"]).all()
+
+
+# a field of every family: ordinary values, any sign, and the extremes
+FIELD_VALUES = st.one_of(st.floats(0.01, 100.0), st.floats(-10.0, 10.0),
+                         st.sampled_from([5e-324, 1e-300, 1e-30, 1e30]))
+
+
+@st.composite
+def catalog_argvs(draw):
+    """``catalog`` flags of a family with drawn fields on a small grid."""
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    argv = ["--family", name]
+    for field in dataclasses.fields(FAMILIES[name]):
+        if field.default is dataclasses.MISSING or draw(st.booleans()):
+            value = draw(st.integers(1, 40) if field.type == "int"
+                         else FIELD_VALUES)
+            argv.append(f"--{field.name}={value!r}")
+    n_points = draw(st.integers(3, 41))
+    if draw(st.booleans()):
+        lower = draw(st.integers(0, 5))
+        return argv + ["--grid-kind", "lattice", "--lower", lower,
+                       "--upper", lower + n_points - 1, "--points", n_points]
+    lower = draw(st.floats(0.01, 5.0))
+    return argv + ["--lower", lower, "--upper",
+                   lower + draw(st.floats(0.5, 30.0)), "--points", n_points]
+
+
+UNRESOLVED = "error: all points masked: E_s is undefined on this grid\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(catalog_argvs())
+# its f is subnormal: the table's mass is taken over its largest value
+@example(["--family", "gamma", "--alpha", "5e-324", "--beta", "1"])
+def test_transform_accepts_every_catalog_table(argv):
+    with tempfile.TemporaryDirectory() as tmp:
+        table = os.path.join(tmp, "t.csv")
+        code, err = _main("catalog", *argv, "--out", table)
+        if code != 0:
+            assert code in (2, 3)
+            assert err.startswith("error: ") and err.count("\n") == 1, err
+            assert not os.path.exists(table)
+            return
+        assert err == ""
+        for to in ("potential", "intensity", "density"):
+            out = os.path.join(tmp, f"{to}.csv")
+            code, err = _main("transform", "--in", table, "--to", to,
+                              "--out", out)
+            # a density that falls by more than the floor's 1e12 between
+            # every two neighbours has no intensity on this grid
+            assert (code, err) == (0, "") or to == "intensity" and (
+                code, err) == (2, UNRESOLVED), (to, err)
+        f, grid = io.read_grid_table(os.path.join(tmp, "density.csv"))
+        assert abs(grid.quadrature(f["f"]) - 1.0) <= 1e-9
+
+
+def test_transform_rescales_an_overflowing_mass(tmp_path):
+    # the quadrature of f = 1e308 overflows; that of f / max f is 3
+    src, out = tmp_path / "f.csv", tmp_path / "d.csv"
+    src.write_text("x,f\n0,1e308\n1,1e308\n2,1e308\n")
+    assert _main("transform", "--in", src, "--to", "density",
+                 "--out", out) == (0, "")
+    assert io.read_table(out)["f"].tolist() == [1 / 3] * 3
+
+
+def test_decompose_pads_only_for_the_samples_it_bins(tmp_path):
+    # +-1e308 are 1e308 off the grid, beyond 8 bandwidths of 1e300: they
+    # are not binned, and no longer size the padded grid
+    samples, out = tmp_path / "s.csv", tmp_path / "d.csv"
+    io.write_table(samples, {"x": np.concatenate(
+        [np.linspace(0.005, 0.995, 200), [1e308, -1e308]])})
+    assert _main("decompose", "--samples", samples, "--lower", -1,
+                 "--upper", 1, "--points", 101, "--bandwidth", 1e300,
+                 "--out", out) == (0, "")
+    f = io.read_table(out)["f"]
+    assert np.ptp(f) <= 1e-12 * np.max(f)
+
+
+def _maxent(tmp_path, u, moment):
+    out = tmp_path / "m.json"
+    assert _main("maxent", "--u", u, "--moment", moment, "--lower", -1,
+                 "--upper", 1, "--points", 101, "--out", out) == (0, "")
+    with open(out) as fh:
+        solution = json.load(fh, parse_constant=_reject_constant)
+    assert solution["converged"], solution
+    return solution["lambda"]
+
+
+def test_maxent_solves_where_u_spans_beyond_2_to_the_512(tmp_path):
+    # Var[u] overflowed, so every Newton step was 0; u = 1e300 x is x in
+    # units of 1e-300, and lambda scales by the same
+    lam = _maxent(tmp_path, "1e300x", 1e299)
+    assert math.isclose(lam * 1e300, _maxent(tmp_path, "x", 0.1),
+                        rel_tol=1e-12)
+    assert abs(_maxent(tmp_path, "1e160x", 0) * 1e160) < 1e-12

@@ -44,12 +44,17 @@ def cli_error(tmp_path, argv) -> str:
 
 
 def test_subnormal_gamma_shape_runs_without_warnings(tmp_path):
-    # the default grid's exact tail is plain float math: no NumPy warning
+    # the default grid's exact tail is plain float math: no NumPy warning;
+    # f is subnormal, and transform takes the table all the same
     proc = _start(tmp_path, ["catalog", "--family", "gamma", "--alpha",
                              "5e-324", "--beta", "1", "--out", "g.csv"])
     _, err = proc.communicate()
     assert proc.returncode == 0 and err == ""
-    assert (tmp_path / "g.csv").exists()
+    proc = _start(tmp_path, ["transform", "--in", "g.csv", "--to",
+                             "potential", "--out", "g_u.csv"])
+    _, err = proc.communicate()
+    assert proc.returncode == 0 and err == ""
+    assert (tmp_path / "g_u.csv").exists()
 
 
 def _reject(name):
