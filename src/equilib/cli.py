@@ -1,8 +1,8 @@
 """Command-line front end.
 
-Subcommands: catalog, transform, maxent, simulate, decompose.  All output
-is deterministic (randomness only enters through explicit seeds) and
-machine readable; see io.py for the file formats.
+Subcommands: catalog, transform, maxent, simulate, decompose.  Output is
+machine readable (see io.py) and deterministic: randomness enters only by
+explicit seeds, and no BLAS build, thread count or stride moves a byte.
 
 Exit codes: 0 success, 2 input/precondition error, 3 infeasible problem.
 A command that fails removes every regular file it wrote, a partly written

@@ -104,13 +104,14 @@ class Grid:
         return w
 
     def quadrature(self, values: np.ndarray) -> float:
-        """Integrate (continuous) or sum (lattice) tabulated values."""
+        """Integrate (continuous) or sum (lattice) tabulated values by NumPy's
+        pairwise sum, whose order no BLAS thread count or stride moves."""
         values = np.asarray(values)
         if values.shape != (self.n_points,):
             raise GridError(
                 f"expected {self.n_points} values, got shape {values.shape}"
             )
-        return float(self.weights @ values)
+        return float(np.add.reduce(self.weights * values))
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
         """dv/dx: second order, central inside and one-sided at the ends;
@@ -121,8 +122,8 @@ class Grid:
         d = np.empty_like(v)
         h2 = 2.0 * self.spacing
         d[1:-1] = (v[2:] - v[:-2]) / h2
-        d[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / h2
-        d[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / h2
+        d[0] = (4.0 * (v[1] - v[0]) - (v[2] - v[0])) / h2  # 0 on constants
+        d[-1] = ((v[-3] - v[-1]) - 4.0 * (v[-2] - v[-1])) / h2
         return d
 
     def log_derivative(self, values: np.ndarray) -> np.ndarray:

@@ -857,7 +857,7 @@ GOLDEN_HIST = {
     "exponential": (
         {"family": "exponential", "a": 1.0},
         {"lower": 0.0, "upper": 12.0, "n_points": 49}, 1000, 128,
-        "ef705228a6d6ecc0b83c6ebf31d7983ebaa9d88b21f9f8062d4197520081a4fd"),
+        "a0d735f6462b2164f3c63e7572af322981ec50b603b822b60304a4b13c01eb84"),
 }
 
 

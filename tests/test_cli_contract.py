@@ -272,6 +272,18 @@ def test_decompose_pads_only_for_the_samples_it_bins(tmp_path):
     assert np.ptp(f) <= 1e-12 * np.max(f)
 
 
+def test_decompose_on_a_grid_near_the_float_limit_is_one_line(tmp_path):
+    # kept - upper and samples.size * mass overflowed, and the estimate
+    # read as zero mass; every density value is below the 1e-300 floor
+    samples, out = tmp_path / "s.csv", tmp_path / "d.csv"
+    io.write_table(samples, {"x": np.concatenate(
+        [np.linspace(-1.69e308, -1.61e308, 200), [1.7e308]])})
+    assert _main("decompose", "--samples", samples, "--lower", -1.7e308,
+                 "--upper", -1.6e308, "--points", 11, "--out", out) == (
+        2, "error: too few usable points in the fit region\n")
+    assert not out.exists()
+
+
 def _maxent(tmp_path, u, moment):
     out = tmp_path / "m.json"
     assert _main("maxent", "--u", u, "--moment", moment, "--lower", -1,

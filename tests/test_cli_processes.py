@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import equilib
@@ -19,10 +20,10 @@ import equilib
 SRC = Path(equilib.__file__).resolve().parents[1]
 
 
-def _start(tmp_path, argv):
+def _start(tmp_path, argv, **env):
     return subprocess.Popen(
         [sys.executable, "-W", "error", "-m", "equilib.cli", *map(str, argv)],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC), **env),
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
 
 
@@ -55,6 +56,40 @@ def test_subnormal_gamma_shape_runs_without_warnings(tmp_path):
     _, err = proc.communicate()
     assert proc.returncode == 0 and err == ""
     assert (tmp_path / "g_u.csv").exists()
+
+
+# each integral of these runs sums over more than 10 000 points, where
+# OpenBLAS's ddot splits its sum by thread
+BLAS_RUNS = [
+    ["catalog", "--family", "gamma", "--alpha", "3.004", "--beta", "2.003",
+     "--lower", "1e-3", "--upper", "60", "--points", "12501",
+     "--out", "g.csv"],
+    ["transform", "--in", "g.csv", "--to", "intensity", "--out", "g_e.csv"],
+    ["maxent", "--u", "x", "--moment", "0.5", "--lower", "0", "--upper", "40",
+     "--points", "20001", "--out", "m.json", "--table", "m.csv"],
+    ["decompose", "--samples", "s.csv", "--lower", "-2.5", "--upper", "4.5",
+     "--points", "40001", "--out", "d.csv", "--report", "d.json"],
+]
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    samples = np.random.default_rng(3).normal(1.0, 0.7, 2000)
+    outputs = {}
+    for threads in ("1", "2"):
+        work = tmp_path / threads
+        work.mkdir()
+        np.savetxt(work / "s.csv", samples, fmt="%.17g", header="x",
+                   comments="")
+        stdouts = []
+        for argv in BLAS_RUNS:
+            proc = _start(work, argv, OPENBLAS_NUM_THREADS=threads,
+                          OMP_NUM_THREADS=threads)
+            out, err = proc.communicate()
+            assert proc.returncode == 0 and err == "", err
+            stdouts.append(out)
+        outputs[threads] = stdouts, {p.name: p.read_bytes()
+                                     for p in sorted(work.iterdir())}
+    assert outputs["1"] == outputs["2"]
 
 
 def _reject(name):

@@ -109,3 +109,17 @@ def test_accepted_grids_have_distinct_increasing_points():
 def test_lattice_up_to_2_53_is_exact():
     g = build_grid("lattice", 2 ** 53 - 4, 2 ** 53, 5)
     assert np.all(np.diff(g.points) == 1.0)
+
+
+@pytest.mark.parametrize("kind, n_points", [
+    ("continuous", 2001), ("continuous", 12501), ("continuous", 20001),
+    ("lattice", 20001)])
+def test_quadrature_of_a_strided_column_matches_its_copy(kind, n_points):
+    # a table column as io.read_table returns it: a view with a stride of
+    # four floats, which sums in the order of its contiguous copy
+    g = build_grid(kind, 0, n_points - 1, n_points)
+    x = g.points
+    table = np.column_stack([x, x ** 4 * np.exp(-x / 900.0), np.sin(x), -x])
+    for column in table.T:
+        assert not column.flags.c_contiguous
+        assert g.quadrature(column) == g.quadrature(column.copy())

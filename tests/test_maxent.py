@@ -157,19 +157,19 @@ def test_one_moment_evaluation_per_iteration(monkeypatch):
 
 
 def test_solve_stops_once_no_float_is_left_in_the_bracket(monkeypatch):
-    # tol = 1e-10 is below one ulp of E[u] = 3.84e7, so |g| stays at that
+    # tol = 1e-10 is below one ulp of E[u] = 3.7e7, so |g| stays at that
     # ulp; the loop used to run all 100 iterations with lambda stuck, and
     # now stops there with the same lambda, residual and converged: false
     lams = _record_lambdas(monkeypatch)
     g = build_grid("continuous", 0, 40, 2001)
     sol = solve_maxent(MaxEntProblem(
         u=PolynomialPotential((0.0,) * 5 + (1.0,)), grid=g,
-        target_moment=38_400_000.0))
+        target_moment=37_000_000.0))
     assert not sol.converged
     assert sol.iterations <= 10
     assert len(lams) == sol.iterations + 1
-    assert sol.lam == lams[-1] == pytest.approx(-2.16217085346e-08, rel=1e-9)
-    assert sol.residual == np.spacing(38_400_000.0)
+    assert sol.lam == lams[-1] == pytest.approx(-2.05140480919e-08, rel=1e-9)
+    assert sol.residual == np.spacing(37_000_000.0)
 
 
 # ---------------------------------------------------------------------------

@@ -412,10 +412,17 @@ def test_harmonic_residual_small():
 
 
 def test_uniform_residual_exactly_zero():
-    g = build_grid("continuous", 0, 1, 101)
-    U = TabulatedPotential(grid=g, values=np.zeros(101))
-    rep = equilibrium_residual(normalize(U, g), U)
-    assert rep.max_abs == 0.0
+    # f is a constant; the end stencils, written in differences, give 0 on
+    # it, as the central one does, on every grid
+    nonzero = []
+    for upper in (0.3, 1.0, 3.7, 100.0):
+        for n in (11, 37, 101, 333, 1001, 2001, 4001):
+            g = build_grid("continuous", 0, upper, n)
+            U = TabulatedPotential(grid=g, values=np.zeros(n))
+            rep = equilibrium_residual(normalize(U, g), U)
+            if rep.max_abs != 0.0:
+                nonzero.append((upper, n, rep.max_abs))
+    assert nonzero == []
 
 
 def test_mismatched_pair_flagged():
