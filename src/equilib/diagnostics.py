@@ -108,8 +108,8 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     h = grid.spacing
     n = grid.n_points
     kept = samples[np.isfinite(samples)]
-    # infs are exact: far offsets, kernel weight 0 for bandwidth << h, t
-    # (dropped below) and n * mass near the float limit (divided apart)
+    # infs are exact: far offsets, kernel weight 0 for bandwidth << h; t
+    # dropped below
     with np.errstate(over="ignore"):
         off = np.maximum(grid.lower - kept, kept - grid.upper)
         outside = np.max(off[off <= KERNEL_REACH * bandwidth], initial=0.0)
@@ -118,8 +118,6 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
         size = n + 2 * pad
         kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * h / bandwidth) ** 2)
         t = (kept - grid.lower) / h + pad
-        mass = max(bandwidth * math.sqrt(2.0 * math.pi), h * kernel.sum())
-        norm = samples.size * mass
     t = t[(t >= 0) & (t <= size - 1)]
     j = np.minimum(t.astype(np.intp), size - 2)
     w = t - j
@@ -128,10 +126,11 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     nfft = 1 << (size + 2 * pad - 1).bit_length()  # no wrap: >= size + 2 pad
     conv = np.fft.irfft(np.fft.rfft(counts, nfft) * np.fft.rfft(kernel, nfft),
                         nfft)[2 * pad:2 * pad + n]
+    mass = max(bandwidth * math.sqrt(2.0 * math.pi), h * kernel.sum())
     # round-off leaves ~1e-16 * peak of either sign where there is no mass;
-    # every weight is >= 0, so the clip is exact
-    raw = np.maximum(conv, 0.0)
-    return raw / norm if norm < math.inf else raw / samples.size / mass
+    # every weight is >= 0, so the clip is exact.  n and the mass divide
+    # apart: their product overflows on a grid near the float limit
+    return np.maximum(conv, 0.0) / samples.size / mass
 
 
 def decompose_samples(samples, grid: Grid, estimator: str = "kernel",
