@@ -26,24 +26,24 @@ import numpy as np
 from .errors import SampleError, require_integer, require_real
 from .grid import CONTINUOUS, Grid
 from .maxent import _moment_and_var
-from .potential import (EquilibriumDensity, IntensityTable,
-                        NormalizedPotentialTable, density_floor,
+from .potential import (DENSITY_FLOOR_ABS, EquilibriumDensity,
+                        IntensityTable, NormalizedPotentialTable,
                         eval_potential, potential_of_density,
                         stochastic_intensity)
 
 MIN_SAMPLES = 100
 KERNEL_REACH = 8.0  # bandwidths; a sample farther off adds under e^-32
+KERNEL_FLOOR = 1e-12  # of the peak: zeroes the FFT's round-off, ~1e-16 of it
 
 
 def shannon_entropy(f: EquilibriumDensity) -> float:
     """-sum f ln f; continuous grids give differential entropy.
 
-    Points below the density floor contribute zero (the x ln x -> 0 limit),
-    as they are masked in ``potential_of_density``, so this equals the mean
-    normalized potential, the quadrature of f * U_tilde.
+    Points at or below the 1e-300 density floor contribute zero (the
+    x ln x -> 0 limit), as they are masked in ``potential_of_density``, so
+    this equals the mean normalized potential, the quadrature of f * U_tilde.
     """
-    floor = density_floor(f.values)
-    ok = f.values > floor
+    ok = f.values > DENSITY_FLOOR_ABS
     plogp = np.zeros(f.grid.n_points)
     plogp[ok] = f.values[ok] * np.log(f.values[ok])
     return -f.grid.quadrature(plogp)
@@ -127,10 +127,10 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     conv = np.fft.irfft(np.fft.rfft(counts, nfft) * np.fft.rfft(kernel, nfft),
                         nfft)[2 * pad:2 * pad + n]
     mass = max(bandwidth * math.sqrt(2.0 * math.pi), h * kernel.sum())
-    # round-off leaves ~1e-16 * peak of either sign where there is no mass;
-    # every weight is >= 0, so the clip is exact.  n and the mass divide
-    # apart: their product overflows on a grid near the float limit
-    return np.maximum(conv, 0.0) / samples.size / mass
+    # every weight is >= 0, yet round-off leaves either sign where there is
+    # no mass.  n and the mass divide apart: their product overflows near 1e308
+    conv[conv <= KERNEL_FLOOR * conv.max()] = 0.0
+    return conv / samples.size / mass
 
 
 def decompose_samples(samples, grid: Grid, estimator: str = "kernel",

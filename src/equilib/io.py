@@ -255,7 +255,7 @@ def grid_from_x(x: np.ndarray, kind: str | None = None) -> Grid:
     """Reconstruct the grid from a table's x column.
 
     The x column must be strictly increasing (a samples file need not be).
-    Consecutive integers are read as a lattice unless a kind is forced.
+    Consecutive integers are read as a lattice; a forced lattice needs them.
     """
     x = np.asarray(x, dtype=float)
     if x.size < 3:
@@ -263,9 +263,10 @@ def grid_from_x(x: np.ndarray, kind: str | None = None) -> Grid:
     spacing = np.diff(x)
     if np.any(spacing <= 0):
         raise FormatError("x column is not strictly increasing")
-    if kind is None:
-        integral = np.all(x == np.round(x)) and np.all(spacing == 1.0)
-        kind = LATTICE if integral else CONTINUOUS
+    integral = np.all(x == np.round(x)) and np.all(spacing == 1.0)
+    kind = kind or (LATTICE if integral else CONTINUOUS)
+    if kind == LATTICE and not integral:
+        raise FormatError("a lattice's x column must be consecutive integers")
     if (kind == CONTINUOUS
             and np.max(np.abs(spacing - spacing[0])) > 1e-9 * spacing[0]):
         raise FormatError("x column is not uniformly spaced")

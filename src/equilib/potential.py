@@ -20,7 +20,10 @@ the last point, and its inverse is the cumulative sum.
 Every table (potential, density, normalized potential, intensity) is a
 frozen copy of its values on a grid.  NaN marks a masked point, where a
 transform has no defined value; a table's ``mask`` is derived from its
-values as ``isnan(values)`` and is never stored apart from them.
+values as ``isnan(values)`` and is never stored apart from them.  The one
+density floor is absolute: the transforms mask f <= 1e-300, as ln f of a
+normal float is good to ~1e-16 however far below the peak.  The kernel
+estimate zeroes its own round-off, every cell at or below 1e-12 of its peak.
 
 A "potential spec" is any object with a ``values_on(grid)`` method
 returning the tabulated potential; objects may additionally provide
@@ -42,10 +45,7 @@ import numpy as np
 from .errors import NonNormalizableError, PotentialError, require_real
 from .grid import Grid
 
-# Absolute and relative density floors below which logs/derivatives are
-# masked instead of returning infinities.
-DENSITY_FLOOR_ABS = 1e-300
-DENSITY_FLOOR_REL = 1e-12
+DENSITY_FLOOR_ABS = 1e-300  # the density floor (see the module docstring)
 
 
 # ---------------------------------------------------------------------------
@@ -219,10 +219,6 @@ class ResidualReport(_Table):
 # Helpers
 
 
-def density_floor(values: np.ndarray) -> float:
-    return max(DENSITY_FLOOR_ABS, DENSITY_FLOOR_REL * float(np.max(values)))
-
-
 def eval_potential(U, grid: Grid) -> np.ndarray:
     """Tabulate a potential spec on a grid; non-finite raises, unwarned."""
     with np.errstate(all="ignore"):
@@ -272,7 +268,7 @@ def normalized_potential(U, grid: Grid) -> NormalizedPotentialTable:
 
 def potential_of_density(f: EquilibriumDensity) -> NormalizedPotentialTable:
     """-ln f pointwise; NaN (masked) below the density floor."""
-    ok = f.values > density_floor(f.values)
+    ok = f.values > DENSITY_FLOOR_ABS
     vals = np.full(f.grid.n_points, np.nan)
     vals[ok] = -np.log(f.values[ok])
     return NormalizedPotentialTable(grid=f.grid, values=vals)
@@ -280,7 +276,7 @@ def potential_of_density(f: EquilibriumDensity) -> NormalizedPotentialTable:
 
 def stochastic_intensity(f: EquilibriumDensity) -> IntensityTable:
     """-f'/f; masked wherever the difference rule reads a floored density."""
-    low = f.values <= density_floor(f.values)
+    low = f.values <= DENSITY_FLOOR_ABS
     vals = -f.grid.log_derivative(np.where(low, np.nan, f.values))
     return IntensityTable(grid=f.grid, values=vals, kind="stochastic")
 

@@ -313,6 +313,20 @@ def test_transform_density_to_stochastic_intensity(tmp_path):
     assert np.max(np.abs(table["E_s"][ok] - table["x"][ok])) < 1e-3
 
 
+def test_transform_keeps_the_normal_tails(tmp_path):
+    # on the default grid, -8..8, f falls to 1e-14 of its peak; every point
+    # has an intensity, within the end stencils' 170 h^2 of E_s + E_c = 0
+    # (test_potential.py::test_normal_intensity_is_x)
+    table, out = tmp_path / "n.csv", tmp_path / "es.csv"
+    assert run("catalog", "--family", "normal", "--out", table) == 0
+    assert run("transform", "--in", table, "--to", "intensity",
+               "--out", out) == 0
+    es = io.read_table(out)
+    assert not es["mask"].any()
+    h = Normal().default_grid().spacing
+    assert np.max(np.abs(es["E_s"] - es["x"])) < 170.0 * h ** 2
+
+
 def test_transform_potential_to_causal_intensity(tmp_path):
     spec = write_json(tmp_path / "pot.json",
                       {"kind": "potential", "family": "exponential", "a": 2.0})
@@ -534,6 +548,18 @@ def test_transform_table_grid_kind_forces_the_kind(tmp_path):
                    "--out", out) == 0
         last_masked.append(io.read_table(out)["mask"][-1])
     assert last_masked == [1, 0]
+
+
+def test_transform_forced_lattice_needs_consecutive_integers(tmp_path,
+                                                             capsys):
+    # the end points and the count fit a lattice, which wrote x = 0, 1, 2
+    src, out = tmp_path / "t.csv", tmp_path / "u.csv"
+    src.write_text("x,f\n0,0.2\n0.5,0.3\n2,0.5\n")
+    assert run("transform", "--in", src, "--grid-kind", "lattice", "--to",
+               "potential", "--out", out) == 2
+    assert capsys.readouterr().err == \
+        "error: a lattice's x column must be consecutive integers\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -1043,6 +1069,24 @@ def test_decompose_standard_normal(tmp_path, capsys):
     table = io.read_table(out)
     assert {"x", "f", "U_tilde", "E_s", "mask"} <= set(table)
     assert "intensity_slope = " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("seed", [1, 7, 3601])
+def test_decompose_mask_survives_transform(tmp_path, seed):
+    # the kernel estimate zeroes its own round-off, the far tails' cells
+    # at or below 1e-12 of its peak, so the transform's 1e-300 floor masks
+    # the table it reads back exactly where decompose did
+    rng = np.random.default_rng(seed)
+    samples, dec, es = (tmp_path / name for name in ("s.csv", "dec.csv",
+                                                     "es.csv"))
+    io.write_table(samples, {"x": rng.normal(1.0, 0.7, 10_000)})
+    assert run("decompose", "--samples", samples, "--lower", -2.5,
+               "--upper", 4.5, "--points", 2001, "--out", dec) == 0
+    assert run("transform", "--in", dec, "--to", "intensity",
+               "--out", es) == 0
+    mask = io.read_table(dec)["mask"]
+    assert 0 < mask.sum() < mask.size
+    assert io.read_table(es)["mask"].tolist() == mask.tolist()
 
 
 def test_decompose_too_few_samples_exits_2(tmp_path):

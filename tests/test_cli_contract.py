@@ -11,8 +11,9 @@ coefficients), with at most one field broken per config, and stay within
 
 Every table that ``catalog`` writes is a density to ``transform``, which
 maps it to a potential, an intensity and a density of mass 1 with exit 0
-and nothing on stderr; only the intensity of a density too steep for its
-floor on every pair of neighbours may be undefined (exit 2).  The
+and nothing on stderr; the intensity is undefined (exit 2) exactly where f
+has no run of points above the 1e-300 floor as long as the difference
+rule reads, 2 on a lattice and 3 on a continuous grid.  The
 families' fields are drawn over ordinary and extreme values (a subnormal
 Gamma shape, masses that underflow or overflow) on grids of at most 41
 points.  Every warning is an error.
@@ -224,10 +225,18 @@ def catalog_argvs(draw):
 UNRESOLVED = "error: all points masked: E_s is undefined on this grid\n"
 
 
+STEEP_LATTICE = ["--family", "exponential", "--grid-kind", "lattice",
+                 "--lower", 0, "--upper", 2, "--points", 3]
+
+
 @settings(max_examples=100, deadline=None, derandomize=True)
 @given(catalog_argvs())
 # its f is subnormal: the table's mass is taken over its largest value
 @example(["--family", "gamma", "--alpha", "5e-324", "--beta", "1"])
+# f falls by e^28 a step: exact, so E_s is defined (28 at x = 0)
+@example(STEEP_LATTICE + ["--a=28"])
+# f(1) = e^-1e30 underflows to 0: no two neighbours above the floor
+@example(STEEP_LATTICE + ["--a=1e+30"])
 def test_transform_accepts_every_catalog_table(argv):
     with tempfile.TemporaryDirectory() as tmp:
         table = os.path.join(tmp, "t.csv")
@@ -238,16 +247,30 @@ def test_transform_accepts_every_catalog_table(argv):
             assert not os.path.exists(table)
             return
         assert err == ""
-        for to in ("potential", "intensity", "density"):
-            out = os.path.join(tmp, f"{to}.csv")
-            code, err = _main("transform", "--in", table, "--to", to,
-                              "--out", out)
-            # a density that falls by more than the floor's 1e12 between
-            # every two neighbours has no intensity on this grid
-            assert (code, err) == (0, "") or to == "intensity" and (
-                code, err) == (2, UNRESOLVED), (to, err)
+        results = {to: _main("transform", "--in", table, "--to", to, "--out",
+                             os.path.join(tmp, f"{to}.csv"))
+                   for to in ("potential", "intensity", "density")}
         f, grid = io.read_grid_table(os.path.join(tmp, "density.csv"))
         assert abs(grid.quadrature(f["f"]) - 1.0) <= 1e-9
+        # E_s needs as many neighbours above the floor as its rule reads
+        reach = 2 if grid.kind == "lattice" else 3
+        runs = np.convolve(f["f"] > 1e-300, np.ones(reach, int), "valid")
+        assert results == {
+            "potential": (0, ""), "density": (0, ""), "intensity": (
+                (0, "") if np.any(runs == reach) else (2, UNRESOLVED))}
+
+
+def test_transform_reads_every_step_of_a_steep_exact_table(tmp_path):
+    # ln f(0) - ln f(1) = 28 exactly, though f falls by 1.4e12 a step
+    table, out = tmp_path / "e.csv", tmp_path / "e_i.csv"
+    assert _main("catalog", *STEEP_LATTICE, "--a", 28, "--out", table) == (
+        0, "")
+    assert _main("transform", "--in", table, "--to", "intensity",
+                 "--out", out) == (0, "")
+    written = io.read_table(out)
+    assert written["mask"].tolist() == [0, 0, 1]
+    assert abs(written["E_s"][0] - 28.0) <= 1e-13 * 28.0
+    assert abs(written["E_s"][1] - 28.0) <= 1e-13 * 28.0
 
 
 def test_transform_rescales_an_overflowing_mass(tmp_path):

@@ -324,6 +324,15 @@ def test_grid_from_x_rejects_uneven_spacing():
         io.grid_from_x(np.array([0.0, 0.5, 1.5]))
 
 
+@pytest.mark.parametrize("x", [[0.0, 0.5, 2.0], [0.5, 1.5, 2.5],
+                               [0.0, 2.0, 4.0]],
+                         ids=["uneven", "half_integers", "step_2"])
+def test_grid_from_x_forced_lattice_needs_consecutive_integers(x):
+    with pytest.raises(io.FormatError, match="consecutive integers"):
+        io.grid_from_x(np.array(x), "lattice")
+    assert io.grid_from_x(np.array([3.0, 4.0, 5.0]), "lattice").lower == 3.0
+
+
 # ---------------------------------------------------------------------------
 # Polynomial expressions
 
