@@ -19,9 +19,13 @@ one-thread executor, one per call, draws the kicks, amp xi, in the stream's
 k - 1's, already counted) before it takes block k's result, so the worker
 starts each draw as the last one ends, and steps block k while k + 1 is
 drawn.  Blocks come back in order and counts are integers, so no bit
-depends on the block size or the thread.  A draw's error is raised in the
-caller by its result, and leaving the executor joins the worker after at
-most the one queued draw.
+depends on the block size or the thread.  The worker pins itself off the
+CPU the caller last ran on (field 39 of its /proc stat), else a draw there
+stalls the caller at its block's first GIL-releasing call; no pin if that
+CPU is the only one allowed or /proc or the affinity calls are missing, and
+the caller is never pinned.  A draw's error is raised in the caller by its
+result, and leaving the executor joins the worker after at most the one
+queued draw.
 
 Step t writes x + dt E_c(x) into y, adds row t's kicks and, by
 ``_reflect``, reflects y once at each wall over the row, the identity on
@@ -38,6 +42,8 @@ support gives NaN or inf, which fail the proof.
 
 from __future__ import annotations
 
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +108,19 @@ def _reflect(y, twice_lower, twice_upper, z, out):
     return np.minimum(np.subtract(twice_upper, out, z), out, out=out)
 
 
+def _pin(caller):
+    """Pin this thread off the caller's current CPU, field 39 of its stat,
+    if the caller may use others."""
+    try:
+        with open(f"/proc/self/task/{caller}/stat", "rb") as stat:
+            cpu = int(stat.read().rsplit(b")", 1)[1].split()[36])
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)  # this thread alone
+    except (AttributeError, OSError):  # no affinity calls or no /proc
+        pass
+
+
 def simulate(config: SimConfig) -> SimResult:
     """Run the chains and compare the histogram with the Boltzmann density."""
     grid = config.grid
@@ -150,7 +169,8 @@ def simulate(config: SimConfig) -> SimResult:
 
     # imported here: concurrent.futures pulls in logging, ~11 ms of start-up
     from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(1) as worker:
+    with ThreadPoolExecutor(1, initializer=_pin,
+                            initargs=(threading.get_native_id(),)) as worker:
         pending = [worker.submit(draw, paths[0])]
         for k, start in enumerate(starts):
             if start + block < config.n_steps:

@@ -1,4 +1,6 @@
 import importlib
+import io
+import os
 import sys
 import threading
 import time
@@ -757,27 +759,127 @@ def test_errors_reach_the_caller_and_the_worker_is_joined(side,
     assert threading.active_count() == threads
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"),
+                    reason="no thread affinity calls")
+def test_worker_pins_itself_and_never_the_caller(monkeypatch):
+    pins, setaffinity = [], os.sched_setaffinity
+
+    def recording(pid, cpus):
+        pins.append((threading.get_ident(), set(cpus)))
+        setaffinity(pid, cpus)
+
+    monkeypatch.setattr(os, "sched_setaffinity", recording)
+    allowed = os.sched_getaffinity(0)
+    simulate(harmonic_config(n_steps=1000, burn_in=0))
+    assert os.sched_getaffinity(0) == allowed
+    if len(allowed) == 1:
+        assert pins == []
+    else:  # once, by the executor's one worker as it starts
+        [(thread, cpus)] = pins
+        assert thread != threading.get_ident()
+        assert cpus < allowed and len(cpus) == len(allowed) - 1
+
+
+def _stat(*args):
+    """The caller's stat line, field n reading n; the command name in
+    parentheses holds spaces and a ')'."""
+    return io.BytesIO(("7 (a) b c) " + " ".join(map(str, range(3, 53))))
+                      .encode())
+
+
+def _no_proc(*args):
+    raise FileNotFoundError("/proc/self/task")
+
+
+@pytest.mark.parametrize("allowed,stat,pin", [
+    ({38, 39, 40}, _stat, {38, 40}),  # field 39: the caller is on CPU 39
+    ({39}, _stat, None),  # the caller's one CPU
+    ({38, 39, 40}, _no_proc, None),
+    (None, _stat, None),  # no affinity calls
+])
+def test_worker_pin_leaves_out_the_callers_cpu(allowed, stat, pin,
+                                               monkeypatch):
+    pins = []
+    monkeypatch.setattr(SIM_MODULE, "open", stat, raising=False)
+    if allowed is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: allowed,
+                            raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity",
+                        lambda pid, cpus: pins.append((pid, cpus)),
+                        raising=False)
+    r = simulate(harmonic_config(n_steps=100, burn_in=0))
+    assert r.n_samples_used == 8 * 100
+    assert pins == ([] if pin is None else [(0, pin)])
+
+
+@pytest.mark.parametrize("pinned", [True, False])
+def test_pin_moves_no_bit(pinned, monkeypatch):
+    # five blocks of 23 steps drawn on the worker, pinned or not
+    pins, pin = [], SIM_MODULE._pin
+
+    def recording_pin(caller):
+        pins.append(caller)
+        if pinned:
+            pin(caller)
+
+    monkeypatch.setattr(SIM_MODULE, "_pin", recording_pin)
+    monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", 3 * 23)
+    cfg = SimConfig(potential=NEAR_WALL[0], grid=NEAR_WALL[1], dt=5e-3,
+                    n_steps=100, burn_in=30, n_chains=3, seed=5)
+    r = simulate(cfg)
+    assert pins == [threading.get_native_id()]
+    values, n_used, tv, _ = _reference_simulate(cfg)
+    assert np.array_equal(r.histogram.values, values)
+    assert r.n_samples_used == n_used and r.tv_distance == tv
+
+
 def test_concurrent_runs_under_fast_switching_match_oracle(monkeypatch):
     # four callers and their four workers, switching every microsecond;
-    # blocks of 100 steps run as chunks of 64 and 36, clear and reflected
+    # blocks of 100 steps run as chunks of 64 and 36, clear and reflected;
+    # each worker pins itself off its own caller's CPU, no caller moves
     potential, grid = NEAR_WALL
     configs = [SimConfig(potential=potential, grid=grid, dt=5e-3,
                          n_steps=600, burn_in=50, n_chains=3, seed=seed)
                for seed in range(4)]
     local, results, histogram = threading.local(), {}, np.histogram
+    affinity = getattr(os, "sched_getaffinity", lambda pid: None)
+    stats, pins, pin = {}, {}, SIM_MODULE._pin
 
     def recording_histogram(a, *args, **kwargs):
         local.kept.append(np.array(a))
         return histogram(a, *args, **kwargs)
 
+    def recording_open(path, mode):
+        with open(path, mode) as stat:
+            stats[path] = stat.read()
+        return io.BytesIO(stats[path])
+
+    def recording_pin(caller):
+        pin(caller)
+        pins[caller] = affinity(0)
+
     def run(cfg):
         local.kept, local.events = [], []
-        results[cfg.seed] = simulate(cfg), local.kept, local.events
+        r = simulate(cfg)
+        results[cfg.seed] = (r, local.kept, local.events,
+                             threading.get_native_id(), affinity(0))
+
+    def pinned(caller):
+        """The caller's affinity less the CPU its stat read, if any left."""
+        stat = stats.get(f"/proc/self/task/{caller}/stat")
+        if stat is None or allowed is None:
+            return allowed
+        cpu = int(stat.rsplit(b")", 1)[1].split()[36])  # field 39
+        return allowed - {cpu} or allowed
 
     monkeypatch.setattr(SIM_MODULE, "BLOCK_ELEMENTS", 3 * 100)
-    interval = sys.getswitchinterval()
+    allowed, interval = affinity(0), sys.getswitchinterval()
     with monkeypatch.context() as m:
         m.setattr(np, "histogram", recording_histogram)
+        m.setattr(SIM_MODULE, "open", recording_open, raising=False)
+        m.setattr(SIM_MODULE, "_pin", recording_pin)
         record_steps(m, potential, lambda: local.events)
         sys.setswitchinterval(1e-6)
         try:
@@ -792,7 +894,9 @@ def test_concurrent_runs_under_fast_switching_match_oracle(monkeypatch):
             sys.setswitchinterval(interval)
     passes = []
     for cfg in configs:
-        r, kept, events = results[cfg.seed]
+        r, kept, events, caller, caller_affinity = results[cfg.seed]
+        assert caller_affinity == allowed
+        assert pins[caller] == pinned(caller)
         (values, n_used, tv, positions), story = _chunk_story(
             cfg, r.stability_margin)
         assert len(kept) == 6
