@@ -331,7 +331,11 @@ class Gamma(_Family):
         return self._log_term(x) + x / self.beta
 
     def normalized_potential(self, x):
-        const = math.lgamma(self.alpha) + self.alpha * math.log(self.beta)
+        try:  # lgamma overflows for alpha above ~2.6e305
+            const = math.lgamma(self.alpha)
+        except OverflowError:
+            raise SupportError("ln Gamma(alpha) overflows a float") from None
+        const += self.alpha * math.log(self.beta)
         return self.potential(x) + const
 
     def scaled_intensity(self, x, scale, out):

@@ -18,7 +18,6 @@ differs from the direct Gaussian sum by O((h / bandwidth)^2) for spacing h.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +33,7 @@ from .potential import (DENSITY_FLOOR_ABS, EquilibriumDensity,
 MIN_SAMPLES = 100
 KERNEL_REACH = 8.0  # bandwidths; a sample farther off adds under e^-32
 KERNEL_FLOOR = 1e-12  # of the peak: zeroes the FFT's round-off, ~1e-16 of it
+MAX_PADDED = 2.0 ** 40  # points: beyond any memory, so no arange is tried
 
 
 def shannon_entropy(f: EquilibriumDensity) -> float:
@@ -86,11 +86,12 @@ def _silverman_bandwidth(samples: np.ndarray) -> float:
 
 
 def _histogram_density(samples, grid: Grid, bins: int) -> np.ndarray:
-    counts, edges = np.histogram(samples, bins=bins,
-                                 range=(grid.lower, grid.upper))
+    """Bin counts as a frequency polygon on the grid: unnormalized weights."""
+    with np.errstate(over="ignore"):  # linspace's last i * step, not an edge
+        counts, edges = np.histogram(samples, bins=bins,
+                                     range=(grid.lower, grid.upper))
     width = edges[1] - edges[0]
-    return np.interp(grid.points, edges[:-1] + width / 2,  # frequency polygon
-                     counts / (samples.size * width))
+    return np.interp(grid.points, edges[:-1] + width / 2, counts)
 
 
 def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
@@ -99,10 +100,7 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     The grid is padded by ``pad`` points on each side, enough to hold every
     sample within KERNEL_REACH bandwidths of the grid and for the kernel to
     reach from any of them to any grid point; samples farther out and
-    non-finite ones are dropped but still count in the normalization.  The
-    kernel's mass is the larger of its integral, as in the direct sum, and
-    its sampled sum, which keeps the estimate finite for a bandwidth far
-    below the spacing.
+    non-finite ones are dropped.  The output is unnormalized weights.
     """
     bandwidth = float(bandwidth)  # overflows to inf without a warning
     h = grid.spacing
@@ -113,9 +111,12 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     with np.errstate(over="ignore"):
         off = np.maximum(grid.lower - kept, kept - grid.upper)
         outside = np.max(off[off <= KERNEL_REACH * bandwidth], initial=0.0)
-        pad = int(np.ceil(min(KERNEL_REACH * bandwidth,
-                              grid.upper - grid.lower + outside) / h))
+        pad = np.ceil(min(KERNEL_REACH * bandwidth,
+                          grid.upper - grid.lower + outside) / h)
         size = n + 2 * pad
+        if not size <= MAX_PADDED:
+            raise SampleError(f"padded grid of {size:g} points is too big")
+        pad, size = int(pad), int(size)
         kernel = np.exp(-0.5 * (np.arange(-pad, pad + 1) * h / bandwidth) ** 2)
         t = (kept - grid.lower) / h + pad
     t = t[(t >= 0) & (t <= size - 1)]
@@ -126,11 +127,9 @@ def _kernel_density(samples, grid: Grid, bandwidth: float) -> np.ndarray:
     nfft = 1 << (size + 2 * pad - 1).bit_length()  # no wrap: >= size + 2 pad
     conv = np.fft.irfft(np.fft.rfft(counts, nfft) * np.fft.rfft(kernel, nfft),
                         nfft)[2 * pad:2 * pad + n]
-    mass = max(bandwidth * math.sqrt(2.0 * math.pi), h * kernel.sum())
-    # every weight is >= 0, yet round-off leaves either sign where there is
-    # no mass.  n and the mass divide apart: their product overflows near 1e308
+    # every weight is >= 0, but round-off leaves either sign where no mass is
     conv[conv <= KERNEL_FLOOR * conv.max()] = 0.0
-    return conv / samples.size / mass
+    return conv
 
 
 def decompose_samples(samples, grid: Grid, estimator: str = "kernel",

@@ -87,8 +87,9 @@ class Grid:
     def points(self) -> np.ndarray:
         if self.kind == LATTICE:
             pts = np.arange(int(self.lower), int(self.upper) + 1, dtype=float)
-        else:
-            pts = np.linspace(self.lower, self.upper, self.n_points)
+        else:  # linspace's last i * step may overflow; it returns upper
+            with np.errstate(over="ignore"):
+                pts = np.linspace(self.lower, self.upper, self.n_points)
         pts.setflags(write=False)
         return pts
 

@@ -29,6 +29,7 @@ import tempfile
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -305,6 +306,42 @@ def test_decompose_on_a_grid_near_the_float_limit_is_one_line(tmp_path):
                  "--upper", -1.6e308, "--points", 11, "--out", out) == (
         2, "error: too few usable points in the fit region\n")
     assert not out.exists()
+
+
+FLOAT_MAX = 1.7976931348623157e308
+NO_FIT = "error: too few usable points in the fit region\n"
+TOO_BIG = "error: padded grid of inf points is too big\n"
+
+
+@pytest.mark.parametrize("argv, expected", [
+    # samples.size * width overflowed, and the estimate read as zero mass
+    (["decompose", "--estimator", "histogram", "--lower", -1e308,
+      "--upper", 4.5, "--points", 101], (2, NO_FIT)),
+    # the padded size reached int() as inf, or np.arange past any size
+    (["decompose", "--lower", 1e-5, "--upper", 3, "--points", 101,
+      "--bandwidth", 1e308], (2, TOO_BIG)),
+    (["decompose", "--lower", -3, "--upper", 3, "--points", 11,
+      "--bandwidth", 1e308], (2, TOO_BIG)),
+    # linspace's last i * step overflowed before it was set to the bound
+    (["catalog", "--family", "exponential", "--a", 1e-300, "--lower", 0,
+      "--upper", FLOAT_MAX, "--points", 4], (0, "")),
+    (["decompose", "--estimator", "histogram", "--lower", 0,
+      "--upper", FLOAT_MAX, "--points", 2001], (2, NO_FIT)),
+    # math.lgamma raised OverflowError
+    (["catalog", "--family", "gamma", "--alpha", 1e308, "--beta", 2,
+      "--lower", 1, "--upper", 4.5, "--points", 5],
+     (2, "error: ln Gamma(alpha) overflows a float\n")),
+], ids=["histogram-width", "kernel-pad-inf", "kernel-pad-huge",
+        "catalog-linspace", "histogram-linspace", "gamma-lgamma"])
+def test_float_limit_inputs_end_in_one_line(tmp_path, argv, expected):
+    # 150 N(0, 1) draws and one sample at each float limit
+    samples, out = tmp_path / "s.csv", tmp_path / "o.csv"
+    io.write_table(samples, {"x": np.concatenate(
+        [np.random.default_rng(3).standard_normal(150), [1e308, -1e308]])})
+    if argv[0] == "decompose":
+        argv = argv + ["--samples", samples]
+    assert _main(*argv, "--out", out) == expected
+    assert out.exists() == (expected[0] == 0)
 
 
 def _maxent(tmp_path, u, moment):
