@@ -273,8 +273,13 @@ class Poisson(_Family):
         return (math.log(self.lam),)
 
     def potential(self, x):
-        x = self._check(x)
-        return -x * math.log(self.lam) + gammaln(x + 1.0)
+        x, log_lam = self._check(x), math.log(self.lam)
+        # -inf + inf past x ~ 2.5e305, where ln Gamma(x+1) ~ x (ln x - 1)
+        with np.errstate(all="ignore"):
+            u = -x * log_lam + gammaln(x + 1.0)
+            if np.isnan(u).any():
+                u = np.where(np.isnan(u), x * (np.log(x) - 1.0 - log_lam), u)
+        return u
 
     def normalized_potential(self, x):
         return self.lam + self.potential(x)

@@ -117,7 +117,7 @@ def _load_transform_input(args):
     if (args.lower, args.upper, args.points) != (None, None, None):
         raise io.FormatError(f"{path}: a table's grid comes from its x "
                              "column; drop --lower, --upper and --points")
-    table, grid = io.read_grid_table(path, args.grid_kind)
+    table, grid = io.read_grid_table(path, args.grid_kind, ("x", "f", "U"))
     if "f" in table:
         if not np.isfinite(table["f"]).all():
             raise io.FormatError(f"{path}: f column has non-finite values")
@@ -163,7 +163,7 @@ def _potential_from_arg(text: str):
 
 
 def _read_samples(path) -> np.ndarray:
-    table = io.read_table(path)
+    table = io.read_table(path, ("x",))
     if "x" not in table:
         raise io.FormatError(f"{path}: samples file needs an x column")
     return np.asarray(table["x"])

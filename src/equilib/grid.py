@@ -132,7 +132,14 @@ class Grid:
         difference of ln v."""
         if self.kind == LATTICE:
             return self.derivative(np.log(values))
-        return self.derivative(values) / values
+        with np.errstate(all="ignore"):
+            out = self.derivative(values) / values
+            # where v' overflows, again of v scaled into [0.5, 1) by a power
+            # of two, whose stencil cannot overflow; NaN values are skipped
+            if (big := np.isinf(out)).any():
+                v = np.ldexp(values, -np.frexp(np.fmax.reduce(values))[1])
+                out[big] = (self.derivative(v) / v)[big]
+        return out
 
     def antiderivative(self, slopes: np.ndarray) -> np.ndarray:
         """Inverse of :meth:`derivative`, zero at the first point; on

@@ -3,11 +3,12 @@
 Tables are comma-separated with a mandatory header naming columns from
 TABLE_COLUMNS, LF line endings (CRLF is read too) and floats printed with
 17 significant digits so that 64-bit values round-trip exactly.  Reading
-needs UTF-8 text, distinct column names, one unquoted number per column on
-every non-empty line, at least one row and, if there is an x column, a
-finite x; anything else is a FormatError.  A grid built from an x column
-(``grid_from_x``) also needs x strictly increasing; a samples file may
-come in any order.
+needs UTF-8 text, distinct column names, one cell per column on every
+non-empty line, an unquoted number in each cell of a column that is read
+(``read_table``'s ``columns``; the other cells are not parsed), at least
+one row and, if there is an x column, a finite x; anything else is a
+FormatError.  A grid built from an x column (``grid_from_x``) also needs x
+strictly increasing; a samples file may come in any order.
 
 Tables stream in row slices, so memory is O(slice + columns):
 ``read_table`` hands the open file's lines to ``np.loadtxt``, and
@@ -213,8 +214,8 @@ def _utf8_errors(path):
         raise FormatError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
-def read_table(path) -> dict:
-    """Read a CSV table back into named float arrays."""
+def read_table(path, columns=None) -> dict:
+    """Read a CSV table into named float arrays, ``columns`` alone if set."""
     with open(path, encoding="utf-8") as fh, _utf8_errors(path):
         header = fh.readline().removesuffix("\n")
         if not header:
@@ -235,17 +236,24 @@ def read_table(path) -> dict:
                 break
         else:
             raise FormatError(f"{path}: table has no rows")
+        # a column not read is 1-char strings: cells counted, never converted
+        skip = columns is not None and not set(names) <= set(columns)
+        dtype = np.dtype([(n, float if n in columns else "U1")
+                          for n in names], align=True) if skip else float
         try:
-            data = np.loadtxt(chain(head, fh), delimiter=",", ndmin=2,
-                              comments=None)
+            data = np.loadtxt(chain(head, fh), delimiter=",", dtype=dtype,
+                              ndmin=1 if skip else 2, comments=None)
         except UnicodeDecodeError:
             raise
         except ValueError as exc:
+            if skip and "usecols" in str(exc):  # NumPy's hint on a width
+                raise FormatError(f"{path}: ragged rows") from None
             raise FormatError(f"{path}: malformed table body ({exc})") \
                 from None
-    if data.shape[1] != len(names):
+    if not skip and data.shape[1] != len(names):
         raise FormatError(f"{path}: ragged rows")
-    out = {name: data[:, j] for j, name in enumerate(names)}
+    out = ({name: data[name] for name in names if name in columns} if skip
+           else {name: data[:, j] for j, name in enumerate(names)})
     if "x" in out and not np.isfinite(out["x"]).all():
         raise FormatError(f"{path}: x column has non-finite values")
     return out
@@ -273,9 +281,9 @@ def grid_from_x(x: np.ndarray, kind: str | None = None) -> Grid:
     return build_grid(kind, x[0], x[-1], x.size)
 
 
-def read_grid_table(path, kind: str | None = None):
-    """Read a table and the grid of its x column (see ``grid_from_x``)."""
-    table = read_table(path)
+def read_grid_table(path, kind: str | None = None, columns=None):
+    """``read_table`` and the grid of its x column (see ``grid_from_x``)."""
+    table = read_table(path, columns)
     if "x" not in table:
         raise FormatError(f"{path}: table needs an 'x' column")
     return table, grid_from_x(table["x"], kind)
@@ -283,7 +291,7 @@ def read_grid_table(path, kind: str | None = None):
 
 def read_tabulated_potential(path) -> TabulatedPotential:
     """The potential of a table's U column on the grid of its x column."""
-    table, grid = read_grid_table(path)
+    table, grid = read_grid_table(path, columns=("x", "U"))
     if "U" not in table:
         raise FormatError(f"{path}: tabulated potential needs a 'U' column")
     return TabulatedPotential(grid=grid, values=table["U"])

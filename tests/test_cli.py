@@ -520,6 +520,48 @@ def test_transform_zero_mass_table_exits_3(tmp_path, capsys):
     assert not out.exists()
 
 
+def _catalog_with_bad_cell(tmp_path):
+    """A catalog table and a copy whose first E_c cell is 'abc'."""
+    clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+    assert run("catalog", "--family", "gamma", "--alpha", 3, "--beta", 2,
+               "--lower", 0.1, "--upper", 30, "--points", 301,
+               "--out", clean) == 0
+    header, first, *rest = clean.read_text().splitlines(keepends=True)
+    assert header == "x,f,U_tilde,E_c\n"
+    dirty.write_text(header + first.rsplit(",", 1)[0] + ",abc\n"
+                     + "".join(rest))
+    return clean, dirty
+
+
+@pytest.mark.parametrize("to", ["density", "potential", "intensity"])
+def test_transform_never_parses_the_columns_it_does_not_read(tmp_path, to):
+    # transform reads x and f alone: U_tilde and E_c need a cell per row,
+    # not a number
+    outputs = []
+    for src in _catalog_with_bad_cell(tmp_path):
+        out = tmp_path / f"{src.stem}_{to}.csv"
+        assert run("transform", "--in", src, "--to", to, "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+@pytest.mark.parametrize("edit", [
+    lambda row: row.rsplit(",", 1)[0] + "\n",
+    lambda row: row.rstrip("\n") + ",1\n",
+], ids=["short", "long"])
+@pytest.mark.parametrize("at", [0, 150])
+def test_transform_ragged_row_exits_2_in_one_line(tmp_path, capsys, edit, at):
+    clean, _ = _catalog_with_bad_cell(tmp_path)
+    header, *rows = clean.read_text().splitlines(keepends=True)
+    rows[at] = edit(rows[at])
+    src, out = tmp_path / "ragged.csv", tmp_path / "e.csv"
+    src.write_text(header + "".join(rows))
+    assert run("transform", "--in", src, "--to", "intensity",
+               "--out", out) == 2
+    assert capsys.readouterr().err == f"error: {src}: ragged rows\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("grid", [
     ["--lower", 0, "--upper", 3, "--points", 4],
     ["--points", 4],
@@ -674,6 +716,39 @@ def test_maxent_from_samples(tmp_path):
     # lambda = 1/mean up to sampling noise
     assert sol["lambda"] == pytest.approx(2.0, rel=0.05)
     assert sol["target_moment"] == pytest.approx(np.mean(samples))
+
+
+def test_maxent_reads_x_and_u_alone_of_a_u_table(tmp_path):
+    x = np.linspace(-4, 4, 801)
+    clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+    io.write_table(clean, {"x": x, "f": np.exp(-x * x / 2), "U": x * x / 2,
+                           "E_c": -x})
+    header, *rows = clean.read_text().splitlines()
+    cells = [row.split(",") for row in rows]
+    dirty.write_text(header + "\n" + "".join(
+        f"{x},abc,{u},?\n" for x, _, u, _ in cells))
+    outputs = []
+    for u in (clean, dirty):
+        out = tmp_path / f"{u.stem}.json"
+        assert run("maxent", "--u", u, "--moment", 0.4, "--lower", -4,
+                   "--upper", 4, "--points", 801, "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_maxent_reads_x_alone_of_a_samples_file(tmp_path):
+    samples = np.random.default_rng(8).standard_normal(300)
+    clean, dirty = tmp_path / "clean.csv", tmp_path / "dirty.csv"
+    io.write_table(clean, {"x": samples})
+    dirty.write_text("x,f\n" + "".join(f"{v!r},?\n"
+                                        for v in samples.tolist()))
+    outputs = []
+    for path in (clean, dirty):
+        out = tmp_path / f"{path.stem}.json"
+        assert run("maxent", "--u", "x^2", "--samples", path, "--lower", -8,
+                   "--upper", 8, "--points", 1601, "--out", out) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_maxent_infeasible_exits_3(tmp_path, capsys):

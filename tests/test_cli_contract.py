@@ -311,6 +311,7 @@ def test_decompose_on_a_grid_near_the_float_limit_is_one_line(tmp_path):
 FLOAT_MAX = 1.7976931348623157e308
 NO_FIT = "error: too few usable points in the fit region\n"
 TOO_BIG = "error: padded grid of inf points is too big\n"
+ZERO_MASS = "error: density has zero or non-finite mass (0.0) on this grid\n"
 
 
 @pytest.mark.parametrize("argv, expected", [
@@ -331,8 +332,15 @@ TOO_BIG = "error: padded grid of inf points is too big\n"
     (["catalog", "--family", "gamma", "--alpha", 1e308, "--beta", 2,
       "--lower", 1, "--upper", 4.5, "--points", 5],
      (2, "error: ln Gamma(alpha) overflows a float\n")),
+    # -x ln(lam) + ln Gamma(x + 1) was -inf + inf, NaN with a warning
+    (["catalog", "--family", "poisson", "--lam", 1e300, "--lower", 4.5,
+      "--upper", FLOAT_MAX, "--points", 3], (3, ZERO_MASS)),
+    # f' overflowed where f is 1e300: E_s was inf at every point
+    (["transform", "--to", "intensity", "--in",
+      ["catalog", "--family", "exponential", "--a", 1e300]], (0, "")),
 ], ids=["histogram-width", "kernel-pad-inf", "kernel-pad-huge",
-        "catalog-linspace", "histogram-linspace", "gamma-lgamma"])
+        "catalog-linspace", "histogram-linspace", "gamma-lgamma",
+        "poisson-inf-minus-inf", "intensity-of-1e300"])
 def test_float_limit_inputs_end_in_one_line(tmp_path, argv, expected):
     # 150 N(0, 1) draws and one sample at each float limit
     samples, out = tmp_path / "s.csv", tmp_path / "o.csv"
@@ -340,8 +348,14 @@ def test_float_limit_inputs_end_in_one_line(tmp_path, argv, expected):
         [np.random.default_rng(3).standard_normal(150), [1e308, -1e308]])})
     if argv[0] == "decompose":
         argv = argv + ["--samples", samples]
+    if isinstance(argv[-1], list):  # the table of a catalog run
+        table = tmp_path / "t.csv"
+        assert _main(*argv[-1], "--out", table) == (0, "")
+        argv = argv[:-1] + [table]
     assert _main(*argv, "--out", out) == expected
     assert out.exists() == (expected[0] == 0)
+    if argv[0] == "transform":
+        assert np.isfinite(io.read_table(out)["E_s"]).all()
 
 
 def _maxent(tmp_path, u, moment):

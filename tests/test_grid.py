@@ -123,3 +123,17 @@ def test_quadrature_of_a_strided_column_matches_its_copy(kind, n_points):
     for column in table.T:
         assert not column.flags.c_contiguous
         assert g.quadrature(column) == g.quadrature(column.copy())
+
+
+def test_log_derivative_rescales_where_the_stencil_overflows():
+    # f = 1e300 e^(-1e300 x) on a spacing of 1e-303: f' overflows, and
+    # f'/f was -inf at every point
+    g = build_grid("continuous", 0.0, 4e-300, 4001)
+    f = 1e300 * np.exp(-1e300 * g.points)
+    f[:10] = np.nan  # a masked run is skipped
+    slope = g.log_derivative(f)
+    assert np.isnan(slope[:11]).all()
+    assert np.abs(slope[11:] / -1e300 - 1.0).max() < 1e-6
+    # bit for bit the slope of the same values scaled to where f' fits
+    assert np.array_equal(slope, g.log_derivative(np.ldexp(f, -1000)),
+                          equal_nan=True)

@@ -264,6 +264,49 @@ def test_read_table_rejects_malformed(tmp_path, text, message):
             io.read_table(path)
 
 
+# a table whose U_tilde and E_c cells are not all numbers
+BAD_E_C = "x,f,U_tilde,E_c\n0,0.25,1.5,abc\n1,0.5,,2\n2,0.25,\u20ac,-1\n"
+
+
+def test_read_table_parses_every_column_by_default(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text(BAD_E_C, encoding="utf-8")
+    with pytest.raises(io.FormatError, match="malformed"):
+        io.read_table(path)
+    with pytest.raises(io.FormatError, match="malformed"):
+        io.read_table(path, ("x", "f", "U_tilde", "E_c", "U"))
+
+
+@pytest.mark.parametrize("columns", [("x", "f"), ("f", "x", "U", "mask")])
+def test_read_table_parses_only_the_columns_asked_for(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    path.write_text(BAD_E_C, encoding="utf-8")
+    table = io.read_table(path, columns)
+    assert list(table) == ["x", "f"]
+    assert table["x"].tolist() == [0.0, 1.0, 2.0]
+    assert table["f"].tolist() == [0.25, 0.5, 0.25]
+    path.write_text("f,x\n0.5,1\n")  # one row, in header order
+    table = io.read_table(path, ("x", "f"))
+    assert {k: v.tolist() for k, v in table.items()} == {"f": [0.5],
+                                                         "x": [1.0]}
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,f,E_c\n0,1\n1,2,3\n", "ragged rows"),
+    ("x,f,E_c\n0,1,3\n1,2\n", "ragged rows"),
+    ("x,f,E_c\n0,1,3\n1,2,3,4\n", "ragged rows"),
+    ("x,f,E_c\n0,1,3\n1,a,3\n", "malformed"),
+    ("x,f,E_c\nnan,1,3\n1,2,3\n", "non-finite"),
+])
+def test_read_table_checks_the_width_of_skipped_columns(tmp_path, text,
+                                                        message):
+    path = tmp_path / "t.csv"
+    path.write_text(text)
+    with pytest.raises(io.FormatError) as info:
+        io.read_table(path, ("x", "f"))
+    assert message in str(info.value) and "usecols" not in str(info.value)
+
+
 def test_read_table_skips_blank_lines_before_rows(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text("x,f\n\n\n0,1.5\n1,-2\n")
